@@ -208,6 +208,8 @@ def cmd_curves(args) -> int:
 
 
 def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
+    """Read a ``sample_id,x,y`` CSV holding one finite point per manifest id."""
+    known = set(ds.ids)
     rows: dict[str, tuple[float, float]] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -215,10 +217,26 @@ def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
             header = next(reader, None)
             if header != ["sample_id", "x", "y"]:
                 raise DatasetError(f"{path}: bad coords header {header!r}")
-            for row in reader:
-                rows[row[0]] = (float(row[1]), float(row[2]))
+            for i, row in enumerate(reader):
+                where = f"{path}: row {i}"
+                if len(row) != 3:
+                    raise DatasetError(f"{where} has {len(row)} fields, expected 3")
+                sid = row[0]
+                try:
+                    xy = (float(row[1]), float(row[2]))
+                except ValueError:
+                    raise DatasetError(f"{where}: non-numeric coordinate in {row[1:]!r}") from None
+                if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                    raise DatasetError(f"{where}: non-finite coordinate in {row[1:]!r}")
+                if sid in rows:
+                    raise DatasetError(f"{where}: duplicate sample id {sid!r}")
+                if sid not in known:
+                    raise DatasetError(f"{where}: sample id {sid!r} is not in the manifest")
+                rows[sid] = xy
     except OSError as exc:
         raise DatasetError(f"cannot read coords {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: coords file is not UTF-8 text") from None
     missing = [i for i in ds.ids if i not in rows]
     if missing:
         raise DatasetError(f"{path}: missing coords for {len(missing)} samples "
@@ -265,6 +283,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     targets = ("bio", "conf") if args.target == "both" else (args.target,)
     ds = _load(args)
+    coords = _load_coords(args.coords, ds) if args.coords else None
     out = _out_dir(args)
     folds = assign_folds(ds, args.folds, args.seed)
     outputs = ["eval.json"]
@@ -288,8 +307,7 @@ def cmd_eval(args) -> int:
         (out / "accuracy_embedding.svg").write_text(
             _accuracy_scatter(payload["embedding"], "Probe accuracy (embedding input)",
                               run["run_id"]), encoding="utf-8")
-    if args.coords:
-        coords = _load_coords(args.coords, ds)
+    if coords is not None:
         payload["tsne2d"] = _eval_block(
             ds, coords, "euclidean", targets, args.k, args.lam, folds,
             args.logreg_max_iter, require_nonzero=False,

@@ -271,7 +271,11 @@ def load_embeddings(embeddings_path: str | Path) -> np.ndarray:
         raise DatasetError(f"cannot read embeddings {path}: {exc}") from exc
     if data[:4] == BINARY_MAGIC:
         return _read_embeddings_binary(data, path)
-    return _read_embeddings_csv(data.decode("utf-8"), path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not an EMB1 binary file and not UTF-8 CSV") from None
+    return _read_embeddings_csv(text, path)
 
 
 def load_dataset(manifest_path: str | Path, embeddings_path: str | Path) -> EmbeddingDataset:

@@ -4,6 +4,11 @@ The projection is unsupervised: affinities come only from pairwise
 distances in the embedding space (squared cosine distances, consistent with
 the toolkit-wide metric). Exact O(n^2) gradients keep the implementation
 small and make the finite-difference gradient check meaningful.
+
+Memory per gradient iteration: two n x n float64 work buffers, allocated
+once per run and overwritten in place, plus the affinity matrix P and,
+during early exaggeration, P times the exaggeration factor. No n x n array
+is allocated inside the loop.
 """
 
 from __future__ import annotations
@@ -125,30 +130,50 @@ def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     return P
 
 
-def _student_t_kernel(Y: np.ndarray) -> np.ndarray:
-    """Unnormalized heavy-tailed similarities 1/(1+d^2), zero diagonal."""
+def _kl_step(P: np.ndarray, P_eff: np.ndarray, entropy: float, Y: np.ndarray,
+             num: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
+    """KL(P || Q) and the gradient of KL(P_eff || Q) at Y, allocating no n x n array.
+
+    ``num`` and ``Q`` are caller-owned (n, n) float64 work buffers; both are
+    overwritten. ``entropy`` is sum(P log P) over P > 0. Q is the Student-t
+    kernel 1/(1+d^2) with zero diagonal, normalized to sum 1. Each step
+    rounds exactly as the allocating expressions ``num = 1 / (1 + max(d^2,
+    0))``, ``Q = num / sum(num)``, ``M = (P_eff - Q) * num`` do, so the
+    trajectory does not depend on the buffers.
+    """
     sq = (Y * Y).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-    np.clip(d2, 0.0, None, out=d2)
-    d2 += 1.0
-    num = np.reciprocal(d2, out=d2)
+    num[...] = sq
+    num += sq[:, None]  # sq_i + sq_j; faster than np.add.outer into num
+    np.matmul(Y, Y.T, out=Q)
+    Q *= 2.0
+    num -= Q
+    np.clip(num, 0.0, None, out=num)
+    num += 1.0
+    np.reciprocal(num, out=num)
     np.fill_diagonal(num, 0.0)
-    return num
+    total = num.sum()
+    np.divide(num, total, out=Q)
+    M = np.subtract(P_eff, Q, out=Q)
+    M *= num
+    grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+    # Q is rebuilt because M overwrote it. Entries with P = 0 add
+    # 0 * log(max(Q, eps)) = 0, a finite log, so no P > 0 mask is needed.
+    logq = np.divide(num, total, out=Q)
+    np.maximum(logq, _EPS, out=logq)
+    np.log(logq, out=logq)
+    kl = entropy - float(np.dot(P.ravel(), logq.ravel()))
+    return kl, grad
 
 
-def _grad_from_kernel(P_eff: np.ndarray, Q: np.ndarray, num: np.ndarray,
-                      Y: np.ndarray) -> np.ndarray:
-    M = (P_eff - Q) * num
-    return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+def _entropy(P: np.ndarray) -> float:
+    p = P[P > 0]
+    return float((p * np.log(p)).sum())
 
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(P || Q) under the Student-t low-dimensional kernel, with its gradient."""
-    num = _student_t_kernel(Y)
-    Q = num / num.sum()
-    mask = P > 0
-    kl = float((P[mask] * np.log(P[mask] / np.maximum(Q[mask], _EPS))).sum())
-    return kl, _grad_from_kernel(P, Q, num, Y)
+    n = P.shape[0]
+    return _kl_step(P, P, _entropy(P), Y, np.empty((n, n)), np.empty((n, n)))
 
 
 def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> ProjectionResult:
@@ -168,28 +193,24 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
     if cfg.iterations < cfg.early_exaggeration_iters:
         raise AnalysisError("iterations must cover the early exaggeration phase")
 
-    d2 = pairwise_distances(vectors, metric="cosine") ** 2
-    P = joint_affinities(d2, cfg.perplexity)
+    P = joint_affinities(pairwise_distances(vectors, metric="cosine") ** 2, cfg.perplexity)
 
     rng = np.random.default_rng(cfg.seed)
     Y = 1e-4 * rng.standard_normal((n, 2))
     velocity = np.zeros_like(Y)
     kl_trace = np.empty(cfg.iterations)
-    nz = np.flatnonzero(P.ravel() > 0)
-    p_nz = P.ravel().take(nz)
-    entropy_term = float((p_nz * np.log(p_nz)).sum())
+    entropy = _entropy(P)
+    num, Q = np.empty((n, n)), np.empty((n, n))
     P_exag = P * cfg.early_exaggeration_factor
     for it in range(cfg.iterations):
         exaggerate = it < cfg.early_exaggeration_iters
-        num = _student_t_kernel(Y)
-        Q = num / num.sum()
+        if not exaggerate:
+            P_exag = None  # free the early-phase copy
         # trace is always against the true affinities, also while exaggerating
-        q_nz = np.maximum(Q.ravel().take(nz), _EPS)
-        kl_true = entropy_term - float((p_nz * np.log(q_nz)).sum())
+        kl_true, grad = _kl_step(P, P_exag if exaggerate else P, entropy, Y, num, Q)
         if not np.isfinite(kl_true):
             raise AnalysisError(f"non-finite divergence at iteration {it}")
         kl_trace[it] = kl_true
-        grad = _grad_from_kernel(P_exag if exaggerate else P, Q, num, Y)
         momentum = (cfg.momentum_start if it < cfg.momentum_switch_iter
                     else cfg.momentum_final)
         velocity = momentum * velocity - cfg.learning_rate * grad

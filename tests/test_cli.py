@@ -320,3 +320,43 @@ def test_knn_k_too_large_for_folds_exits_3(workspace, tmp_path):
     assert main(["eval", "--manifest", str(data / "manifest.csv"),
                  "--embeddings", str(data / "embeddings.bin"),
                  "--k", "100", "--out-dir", str(tmp_path)]) == 3
+
+
+def _replace_row(i, text):
+    return lambda lines: lines[:i] + [text(lines[i])] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_replace_row(1, lambda row: row.rsplit(",", 1)[0]), "row 0 has 2 fields, expected 3"),
+    (_replace_row(2, lambda row: row.split(",")[0] + ",abc,1.0"),
+     "row 1: non-numeric coordinate"),
+    (_replace_row(2, lambda row: row.split(",")[0] + ",nan,1.0"),
+     "row 1: non-finite coordinate"),
+    (_replace_row(3, lambda row: row.split(",")[0] + ",0.5,inf"),
+     "row 2: non-finite coordinate"),
+    (lambda lines: lines + [lines[1]], "duplicate sample id"),
+    (lambda lines: lines + ["ghost,0.0,0.0"], "sample id 'ghost' is not in the manifest"),
+], ids=["short_row", "non_numeric", "nan", "inf", "duplicate_id", "unknown_id"])
+def test_eval_rejects_malformed_coords(workspace, tmp_path, capsys, edit, message):
+    lines = (workspace / "out" / "tsne_coords.csv").read_text().splitlines()
+    bad = tmp_path / "coords.csv"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    data = workspace / "data"
+    rc = main(["eval", "--manifest", str(data / "manifest.csv"),
+               "--embeddings", str(data / "embeddings.bin"),
+               "--coords", str(bad), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert f"{bad}: row " in err and message in err
+
+
+def test_eval_rejects_coords_that_are_not_utf8(workspace, tmp_path, capsys):
+    bad = tmp_path / "coords.csv"
+    bad.write_bytes(b"sample_id,x,y\n\xff\xfe,1,2\n")
+    data = workspace / "data"
+    assert main(["eval", "--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin"),
+                 "--coords", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{bad}: coords file is not UTF-8 text" in err

@@ -97,6 +97,11 @@ def test_binary_format_errors(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 24)
     with pytest.raises(DatasetError, match="row 0"):
         load_embeddings(path)
+    # neither the magic nor UTF-8 text: the error names the file
+    path.write_bytes(b"\xff\xfe\x00\x01" + b"\x00" * 24)
+    with pytest.raises(DatasetError, match="not an EMB1 binary file and not UTF-8 CSV") as err:
+        load_embeddings(path)
+    assert str(path) in str(err.value)
     # valid magic, truncated payload
     import struct
     path.write_bytes(b"EMB1" + struct.pack("<I", 1) + struct.pack("<QQ", 3, 2)

@@ -33,6 +33,51 @@ def two_arc_clusters(seed=10, n_per=50, dim=50):
         [f"s{i}" for i in range(2 * n_per)], X, labels, labels)
 
 
+def reference_tsne(X, cfg):
+    """The exact loop written with a fresh array per step: the oracle the
+    buffered kernel in ``tsne`` must match bit for bit."""
+    n = X.shape[0]
+    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, cfg.perplexity)
+    mask = P > 0
+    entropy = float((P[mask] * np.log(P[mask])).sum())
+    rng = np.random.default_rng(cfg.seed)
+    Y = 1e-4 * rng.standard_normal((n, 2))
+    velocity = np.zeros_like(Y)
+    kl_trace = []
+    for it in range(cfg.iterations):
+        sq = (Y * Y).sum(axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+        num = 1.0 / (np.clip(d2, 0.0, None) + 1.0)
+        np.fill_diagonal(num, 0.0)
+        Q = num / num.sum()
+        kl_trace.append(entropy - float((P[mask] * np.log(np.maximum(Q[mask], 1e-12))).sum()))
+        exaggerate = it < cfg.early_exaggeration_iters
+        M = ((P * cfg.early_exaggeration_factor if exaggerate else P) - Q) * num
+        grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+        momentum = (cfg.momentum_start if it < cfg.momentum_switch_iter
+                    else cfg.momentum_final)
+        velocity = momentum * velocity - cfg.learning_rate * grad
+        Y = Y + velocity
+        Y -= Y.mean(axis=0)
+    return Y, np.array(kl_trace)
+
+
+def reference_trustworthiness(X, Y, k):
+    """Venna & Kaski's definition, one point at a time; ties go to the lower
+    index in both spaces."""
+    n = X.shape[0]
+    penalty = 0
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        dx = np.linalg.norm(X - X[i], axis=1)
+        dy = np.linalg.norm(Y - Y[i], axis=1)
+        high = sorted(others, key=lambda j: (dx[j], j))
+        rank = {j: r + 1 for r, j in enumerate(high)}
+        low_knn = sorted(others, key=lambda j: (dy[j], j))[:k]
+        penalty += sum(rank[j] - k for j in low_knn if rank[j] > k)
+    return 1.0 - 2.0 * penalty / (n * k * (2.0 * n - 3.0 * k - 1.0))
+
+
 # ---------------------------------------------------------------------------
 # perplexity calibration
 # ---------------------------------------------------------------------------
@@ -143,6 +188,21 @@ def test_tsne_deterministic(cluster_projection):
     assert not np.array_equal(result.coords[:10], other.coords[:10])
 
 
+def test_tsne_matches_reference_loop_bit_for_bit(cluster_projection):
+    ds, result = cluster_projection
+    coords, kl = reference_tsne(ds.vectors, result.config)
+    assert result.coords.tobytes() == coords.tobytes()
+    np.testing.assert_allclose(result.kl_trace, kl, rtol=1e-12, atol=0)
+
+    X = make_random_dataset(seed=23, n=60, dim=12).vectors
+    cfg = TsneConfig(perplexity=10, iterations=200, early_exaggeration_iters=60,
+                     momentum_switch_iter=120, seed=4)
+    result = tsne(X, cfg)
+    coords, kl = reference_tsne(X, cfg)
+    assert result.coords.tobytes() == coords.tobytes()
+    np.testing.assert_allclose(result.kl_trace, kl, rtol=1e-12, atol=0)
+
+
 def test_config_echoed(cluster_projection):
     _, result = cluster_projection
     assert result.config.perplexity == 20
@@ -171,6 +231,17 @@ def test_trustworthiness_lossless_projection():
     coords = rng.normal(size=(60, 2))
     X = np.hstack([coords, np.zeros((60, 4))])
     assert trustworthiness(X, coords, 10) == 1.0
+
+
+def test_trustworthiness_matches_brute_force(cluster_projection):
+    ds, result = cluster_projection
+    assert trustworthiness(ds, result.coords, 12) == pytest.approx(
+        reference_trustworthiness(ds.vectors, result.coords, 12), abs=1e-12)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(80, 7))
+    Y = rng.normal(size=(80, 2))
+    assert trustworthiness(X, Y, 9) == pytest.approx(
+        reference_trustworthiness(X, Y, 9), abs=1e-12)
 
 
 def test_trustworthiness_matches_sklearn(cluster_projection):
