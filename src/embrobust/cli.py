@@ -26,8 +26,8 @@ from .dataset import (DatasetError, EmbeddingDataset, load_dataset,
                       save_dataset)
 from .evaluation import (DEFAULT_K_GRID, DEFAULT_LAMBDA, AnalysisError,
                          assign_folds, center_error_relation,
-                         confounder_analysis, knn_predict, logreg_cv,
-                         restrict_for_confounders)
+                         confounder_analysis, knn_predict, knn_table_depth,
+                         logreg_cv, restrict_for_confounders)
 from .neighbors import (build_neighbor_table, frequency_curves,
                         write_frequency_csv)
 from .projection import TsneConfig, trustworthiness, tsne
@@ -162,7 +162,8 @@ def cmd_index(args) -> int:
     entries = []
     for name, mpath, epath in zip(names, manifests, embeddings):
         ds = load_dataset(mpath, epath)
-        nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
+        nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group,
+                                  depth=args.k)
         report = robustness_index(ds, nt, args.k)
         entries.append({"name": name, **report.to_dict(),
                         "r_k_display": report.r_k_display})
@@ -189,7 +190,8 @@ def cmd_index(args) -> int:
 def cmd_curves(args) -> int:
     ds = _load(args)
     out = _out_dir(args)
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
+    # frequency_curves ranks its rows itself, block by block
+    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group, depth=0)
     curves = frequency_curves(ds, nt)
     run = _make_run("curves", {
         "exclude_same_group": args.exclude_same_group, "threads": args.threads,
@@ -250,7 +252,8 @@ def _eval_block(ds, vectors, metric, targets, k, lam, folds, max_iter,
         ds.ids, vectors, ds.bio_labels, ds.conf_labels, ds.group_ids,
         require_nonzero=require_nonzero)
     nt = build_neighbor_table(probe_ds, metric=metric,
-                              exclude_same_group=exclude_same_group)
+                              exclude_same_group=exclude_same_group,
+                              depth=knn_table_depth(k, folds.n_folds))
     block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
     for target in targets:
         kr = knn_predict(probe_ds, nt, folds, target, k)
@@ -332,7 +335,8 @@ def cmd_confounders(args) -> int:
     ds = _load(args)
     out = _out_dir(args)
     restricted = restrict_for_confounders(ds)
-    nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group)
+    nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group,
+                              depth=knn_table_depth(max(k_grid), args.folds))
     report = confounder_analysis(
         restricted, n_folds=args.folds, k_grid=k_grid, reps=args.reps,
         seeds=_rep_seeds(args.seed, args.reps), nt=nt)
@@ -431,7 +435,8 @@ def cmd_relation(args) -> int:
     k_grid = _parse_k_grid(args.k_grid)
     ds = _load(args)
     out = _out_dir(args)
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
+    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group,
+                              depth=knn_table_depth(max(k_grid), args.folds))
     rel = center_error_relation(
         ds, reps=args.reps, k_grid=k_grid, lam=args.lam,
         seeds=_rep_seeds(args.seed, args.reps), n_folds=args.folds, nt=nt,
@@ -511,13 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings-format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("index", parents=[common],
+    p = sub.add_parser("index", parents=[common, grouping],
                        help="robustness index for one or more datasets")
     p.add_argument("--manifest", action="append")
     p.add_argument("--embeddings", action="append")
     p.add_argument("--name", action="append", help="dataset display name")
     p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--exclude-same-group", action="store_true")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("curves", parents=[common, one_ds, grouping],

@@ -9,12 +9,12 @@ the relation between center-related kNN errors and regression errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataset import EmbeddingDataset, class_count_matrix
-from .neighbors import NeighborTable
+from .neighbors import NeighborTable, build_neighbor_table
 
 # 9 log-spaced neighbor counts from 1 to 250
 DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32, 63, 125, 250)
@@ -124,44 +124,95 @@ def _target_codes(ds: EmbeddingDataset, target: str) -> tuple[np.ndarray, tuple[
     raise ValueError(f"target must be 'bio' or 'conf', got {target!r}")
 
 
+def knn_table_depth(k: int, n_folds: int) -> int:
+    """Neighbor-table depth that holds k training-fold neighbors of nearly
+    every sample.
+
+    About (n_folds-1)/n_folds of a sample's neighbors lie outside its fold,
+    so k of them are expected within k*n_folds/(n_folds-1) ranks; a quarter
+    more plus 8 leaves room for the spread. Rows that still come up short
+    are ranked deeper (see ``_training_neighbor_prefix``), so the depth
+    changes speed, never results.
+    """
+    return -(-5 * k * n_folds // (4 * max(n_folds - 1, 1))) + 8
+
+
+def _take_training(sub: np.ndarray, ok: np.ndarray, depth: int) -> np.ndarray:
+    """The first ``depth`` entries of each row of ``sub`` where ``ok`` holds."""
+    keep = ok & (np.cumsum(ok, axis=1) <= depth)
+    return sub[keep].reshape(-1, depth)
+
+
 def _training_neighbor_prefix(nt: NeighborTable, folds: FoldAssignment, depth: int) -> np.ndarray:
     """(n, depth) indices of each sample's nearest training-fold neighbors.
 
     Row i holds the ``depth`` nearest neighbors of i among samples outside
-    i's own fold, in rank order. Raises if any sample has too few.
+    i's own fold, in rank order. Rows whose stored ranking holds fewer are
+    ranked in full. Raises if any sample has too few.
     """
     n = nt.n
     if depth < 1:
         raise AnalysisError(f"k must be >= 1, got {depth}")
     out = np.empty((n, depth), dtype=np.intp)
-    cols = np.arange(n - 1)
+
+    def usable(rows: np.ndarray, sub: np.ndarray, training: np.ndarray) -> np.ndarray:
+        cols = np.arange(sub.shape[1])
+        return training[sub] & (cols[None, :] < nt.limit[rows][:, None])
+
     for f in range(folds.n_folds):
         rows = np.nonzero(folds.fold_of == f)[0]
         if len(rows) == 0:
             continue
         training = folds.fold_of != f
         sub = nt.order[rows]
-        ok = training[sub] & (cols[None, :] < nt.limit[rows][:, None])
-        avail = ok.sum(axis=1)
-        if avail.min() < depth:
-            raise AnalysisError(
-                f"k={depth} exceeds training-fold size ({int(avail.min())} "
-                f"training neighbors available for some sample in fold {f})")
-        sel = np.argsort(~ok, axis=1, kind="stable")[:, :depth]
-        out[rows] = np.take_along_axis(sub, sel, axis=1)
+        ok = usable(rows, sub, training)
+        short = ok.sum(axis=1) < depth
+        if short.any():
+            deep_rows = rows[short]
+            deep = nt.ranked(deep_rows, n - 1)
+            deep_ok = usable(deep_rows, deep, training)
+            avail = deep_ok.sum(axis=1)
+            if avail.min() < depth:
+                raise AnalysisError(
+                    f"k={depth} exceeds training-fold size ({int(avail.min())} "
+                    f"training neighbors available for some sample in fold {f})")
+            out[deep_rows] = _take_training(deep, deep_ok, depth)
+            rows, sub, ok = rows[~short], sub[~short], ok[~short]
+        out[rows] = _take_training(sub, ok, depth)
     return out
 
 
-def _vote(neighbor_codes: np.ndarray, k: int, n_classes: int) -> np.ndarray:
-    """Majority label among the first k columns; ties go to the class of the
-    nearest neighbor holding a tied class."""
-    lab = neighbor_codes[:, :k]
-    onehot = lab[:, :, None] == np.arange(n_classes)[None, None, :]
-    counts = onehot.sum(axis=1)
-    first = np.where(onehot.any(axis=1), onehot.argmax(axis=1), k)
-    best = counts.max(axis=1)
-    tie_key = np.where(counts == best[:, None], first, k + 1)
-    return tie_key.argmin(axis=1)
+def _grid_counts(codes: np.ndarray, n_classes: int, ks: np.ndarray,
+                 where: np.ndarray | None = None) -> np.ndarray:
+    """(n, len(ks), n_classes) class counts over the first k columns, every k.
+
+    ``codes`` is (n, ks[-1]) and ``ks`` strictly ascending; with ``where``,
+    only the columns where it holds are counted. One bincount over
+    (row, grid segment, class), summed cumulatively over the segments.
+    """
+    n, width = codes.shape
+    segment = np.searchsorted(ks, np.arange(width), side="right")
+    key = (np.arange(n)[:, None] * len(ks) + segment) * n_classes + codes
+    if where is not None:
+        key = key[where]
+    counts = np.bincount(key.ravel(), minlength=n * len(ks) * n_classes)
+    return counts.reshape(n, len(ks), n_classes).cumsum(axis=1)
+
+
+def _grid_vote(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(n, len(ks)) majority class among the first k neighbors, every k.
+
+    ``counts`` is ``_grid_counts`` of ``codes``. Ties go to the class of the
+    nearest neighbor holding a tied class: a class tied at the top has at
+    least one neighbor within k, so its first column over the whole prefix
+    is its first column within k.
+    """
+    n, width = codes.shape
+    first = np.full((n, counts.shape[2]), width, dtype=np.intp)
+    np.minimum.at(first, (np.arange(n)[:, None], codes), np.arange(width))
+    best = counts.max(axis=2, keepdims=True)
+    tie_key = np.where(counts == best, first[:, None, :], width + 1)
+    return tie_key.argmin(axis=2)
 
 
 def _fold_accuracy(correct: np.ndarray, folds: FoldAssignment) -> tuple[float, ...]:
@@ -191,8 +242,8 @@ def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
                 target: str, k: int = 3) -> EvalResult:
     """Cross-validated kNN probe: majority label of the k nearest training samples."""
     codes, classes = _target_codes(ds, target)
-    prefix = _training_neighbor_prefix(nt, folds, k)
-    pred = _vote(codes[prefix], k, len(classes))
+    nb = codes[_training_neighbor_prefix(nt, folds, k)]
+    pred = _grid_vote(nb, _grid_counts(nb, len(classes), np.array([k])))[:, 0]
     return _make_result(ds, target, "knn", k, pred, classes, folds)
 
 
@@ -232,17 +283,15 @@ def softmax_loss_grad(Xs: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarra
     return float(loss), grad_W, grad_b
 
 
-def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA, seed: int = 0,
+def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
                max_iter: int = 5000, grad_tol: float = 1e-6) -> LogRegModel:
     """Fit a multinomial softmax model by full-batch gradient descent.
 
     Features are standardized internally (constant features zeroed out);
     optimization starts from zero weights and backtracks on the step size
     until the Armijo condition holds, so the objective never increases.
-    ``seed`` is accepted for interface stability; the zero-initialized
-    full-batch optimizer is deterministic.
+    The zero-initialized full-batch optimizer is deterministic.
     """
-    del seed
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise AnalysisError("non-finite feature value")
@@ -362,6 +411,50 @@ def _resolve_seeds(reps: int, seeds: Sequence[int] | None) -> tuple[int, ...]:
     return seeds
 
 
+def _grid_columns(k_grid: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The grid as ints, its distinct values ascending, and each k's column
+    among those."""
+    k_grid = tuple(int(k) for k in k_grid)
+    if not k_grid or min(k_grid) < 1:
+        raise AnalysisError("k grid values must be >= 1")
+    ks, cols = np.unique(k_grid, return_inverse=True)
+    return k_grid, ks, cols
+
+
+@dataclass(frozen=True, eq=False)
+class _KnnRun:
+    """One repetition of the kNN-run ensemble, with every k of the grid voted.
+
+    Column g stands for k = ks[g]: ``pred[:, g]`` is each sample's kNN vote
+    on the bio target, ``bio_counts[:, g, c]`` how many of its k nearest
+    training neighbors carry bio class c, and ``same_center[:, g, c]`` how
+    many of those also share the sample's confounder label.
+    """
+
+    folds: FoldAssignment
+    nb_conf: np.ndarray      # (n, max k) confounder codes of the training neighbors
+    pred: np.ndarray         # (n, G)
+    bio_counts: np.ndarray   # (n, G, n_bio)
+    same_center: np.ndarray  # (n, G, n_bio)
+
+
+def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
+                  ks: np.ndarray, seeds: Sequence[int]) -> Iterator[_KnnRun]:
+    """Per repetition seed: fresh folds, the training-neighbor prefix of
+    depth max(ks) and the bio votes at every k in ``ks`` (strictly
+    ascending), all from one cumulative per-class count."""
+    for seed in seeds:
+        folds = assign_folds(ds, n_folds, seed)
+        prefix = _training_neighbor_prefix(nt, folds, int(ks[-1]))
+        nb_bio = ds.bio_codes[prefix]
+        nb_conf = ds.conf_codes[prefix]
+        n_bio = len(ds.bio_classes)
+        counts = _grid_counts(nb_bio, n_bio, ks)
+        same_center = _grid_counts(nb_bio, n_bio, ks,
+                                   where=nb_conf == ds.conf_codes[:, None])
+        yield _KnnRun(folds, nb_conf, _grid_vote(nb_bio, counts), counts, same_center)
+
+
 def confounder_analysis(
     ds: EmbeddingDataset,
     n_folds: int = 5,
@@ -379,42 +472,33 @@ def confounder_analysis(
     from the same folds. ``ds`` should normally be the output of
     ``restrict_for_confounders``.
     """
-    from .neighbors import build_neighbor_table
-
-    k_grid = tuple(int(k) for k in k_grid)
-    if any(k < 1 for k in k_grid):
-        raise AnalysisError("k grid values must be >= 1")
+    k_grid, ks, cols = _grid_columns(k_grid)
     seeds = _resolve_seeds(reps, seeds)
     if nt is None:
-        nt = build_neighbor_table(ds)
-    max_k = max(k_grid)
-    n_bio = len(ds.bio_classes)
+        nt = build_neighbor_table(ds, depth=knn_table_depth(int(ks[-1]), n_folds))
     n_conf = len(ds.conf_classes)
 
-    fractions: list[list[float]] = [[] for _ in k_grid]
+    fractions: list[list[np.ndarray]] = [[] for _ in k_grid]
     acc_bio = np.zeros((reps, len(k_grid)))
     acc_conf = np.zeros((reps, len(k_grid)))
-    for r, rep_seed in enumerate(seeds):
-        folds = assign_folds(ds, n_folds, rep_seed)
-        prefix = _training_neighbor_prefix(nt, folds, max_k)
-        nb_bio = ds.bio_codes[prefix]
-        nb_conf = ds.conf_codes[prefix]
-        for ki, k in enumerate(k_grid):
-            pred = _vote(nb_bio, k, n_bio)
+    for r, run in enumerate(_knn_ensemble(ds, nt, n_folds, ks, seeds)):
+        pred_conf = _grid_vote(run.nb_conf, _grid_counts(run.nb_conf, n_conf, ks))
+        for ki, g in enumerate(cols):
+            pred = run.pred[:, g]
             correct = pred == ds.bio_codes
-            acc_bio[r, ki] = np.mean(_fold_accuracy(correct, folds))
-            pred_conf = _vote(nb_conf, k, n_conf)
-            acc_conf[r, ki] = np.mean(_fold_accuracy(pred_conf == ds.conf_codes, folds))
+            acc_bio[r, ki] = np.mean(_fold_accuracy(correct, run.folds))
+            acc_conf[r, ki] = np.mean(
+                _fold_accuracy(pred_conf[:, g] == ds.conf_codes, run.folds))
             wrong = np.nonzero(~correct)[0]
             if len(wrong) == 0:
                 continue
-            confounding = nb_bio[wrong, :k] == pred[wrong, None]
-            same_center = confounding & (nb_conf[wrong, :k] == ds.conf_codes[wrong, None])
-            totals = confounding.sum(axis=1)
-            fractions[ki].extend((same_center.sum(axis=1) / totals).tolist())
+            # the neighbors that voted for the wrong class, and those of
+            # them sharing the sample's confounder
+            totals = run.bio_counts[wrong, g, pred[wrong]]
+            fractions[ki].append(run.same_center[wrong, g, pred[wrong]] / totals)
 
-    frac = np.array([np.mean(f) if f else np.nan for f in fractions])
-    n_mis = np.array([len(f) for f in fractions], dtype=np.int64)
+    frac = np.array([np.mean(np.concatenate(f)) if f else np.nan for f in fractions])
+    n_mis = np.array([sum(len(a) for a in f) for f in fractions], dtype=np.int64)
     return ConfounderReport(
         k_grid=k_grid, reps=reps, seeds=seeds,
         frac_same_center=frac,
@@ -442,32 +526,22 @@ def center_error_relation(
     center-related error fraction; each bin reports its regression error
     rate.
     """
-    from .neighbors import build_neighbor_table
-
-    k_grid = tuple(int(k) for k in k_grid)
+    k_grid, ks, cols = _grid_columns(k_grid)
     seeds = _resolve_seeds(reps, seeds)
     if nt is None:
-        nt = build_neighbor_table(ds)
-    max_k = max(k_grid)
-    n_bio = len(ds.bio_classes)
+        nt = build_neighbor_table(ds, depth=knn_table_depth(int(ks[-1]), n_folds))
+    rows = np.arange(ds.n)
 
     center_err_runs = np.zeros(ds.n, dtype=np.int64)
     first_folds: FoldAssignment | None = None
-    for rep_seed in seeds:
-        folds = assign_folds(ds, n_folds, rep_seed)
+    for run in _knn_ensemble(ds, nt, n_folds, ks, seeds):
         if first_folds is None:
-            first_folds = folds
-        prefix = _training_neighbor_prefix(nt, folds, max_k)
-        nb_bio = ds.bio_codes[prefix]
-        nb_conf = ds.conf_codes[prefix]
-        wrong_label = nb_bio != ds.bio_codes[:, None]
-        same_conf = nb_conf == ds.conf_codes[:, None]
-        both = wrong_label & same_conf
-        for k in k_grid:
-            pred = _vote(nb_bio, k, n_bio)
-            miss = pred != ds.bio_codes
-            majority = both[:, :k].sum(axis=1) * 2 > k
-            center_err_runs += (miss & majority).astype(np.int64)
+            first_folds = run.folds
+        miss = run.pred != ds.bio_codes[:, None]
+        # neighbors carrying a wrong label and the sample's confounder label
+        both = run.same_center.sum(axis=2) - run.same_center[rows, :, ds.bio_codes]
+        center_err = miss & (both * 2 > ks)
+        center_err_runs += center_err[:, cols].sum(axis=1)
 
     total_runs = reps * len(k_grid)
     fraction = center_err_runs / total_runs

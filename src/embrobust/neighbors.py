@@ -1,9 +1,19 @@
 """Exact neighbor rankings under cosine distance and per-rank label-agreement curves.
 
-The neighbor table is the full sorted ranking of every sample's n-1
-cross-distances. Brute force is deliberate: at desk scale (n around 2000)
-exact ranks are affordable and the downstream statistics are defined on
-exact neighbor sets, not approximations.
+Ranks are exact: every row is ranked from the dense pairwise distance
+matrix, distance ties broken by ascending sample index. At desk scale (n
+around a few thousand) brute force is affordable, and the downstream
+statistics are defined on exact neighbor sets, not approximations.
+
+One ranking engine serves every analysis. It ranks rows in blocks, only as
+deep as the caller reads: the robustness index reads k columns, the
+cross-validated probes a fold-dependent margin above their largest k. A
+``NeighborTable`` keeps the distance matrix it was ranked from, so rows
+whose stored prefix is too shallow are ranked deeper from the same bits.
+Memory per call: the n×n float64 distance matrix, the (n, depth) order
+and distances, and block temporaries of about ``_BLOCK_ELEMS`` elements
+(8 MB each); ``frequency_curves`` streams full-depth blocks and never holds
+an (n, n−1) table.
 """
 
 from __future__ import annotations
@@ -16,23 +26,110 @@ import numpy as np
 
 from .dataset import EmbeddingDataset
 
+# elements per row block (rows × columns) ranked at once
+_BLOCK_ELEMS = 1 << 20
+
+
+def _row_blocks(n_rows: int, row_elems: int):
+    """Consecutive row slices of about ``_BLOCK_ELEMS`` elements each."""
+    step = max(1, _BLOCK_ELEMS // max(row_elems, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _rank_rows(d: np.ndarray, depth: int) -> np.ndarray:
+    """Columns of the ``depth`` smallest entries of each row, in ascending order,
+    ties by ascending column index.
+
+    Equal to ``np.argsort(d, axis=1, kind="stable")[:, :depth]`` for
+    ``depth < d.shape[1]``. Shallow requests partition each row and sort only
+    the depth + 1 candidates by (distance, index); deep ones use the
+    (unstable, vectorized) default argsort. Either way, a row whose ties
+    could reach past what was sorted exactly is re-ranked with a stable sort.
+    """
+    m, n = d.shape
+    if depth == 0:
+        return np.empty((m, 0), dtype=np.intp)
+    if 8 * depth < n:
+        cand = np.sort(np.argpartition(d, depth, axis=1)[:, : depth + 1], axis=1)
+        vals = np.take_along_axis(d, cand, axis=1)
+        by_val = np.argsort(vals, axis=1, kind="stable")
+        order = np.take_along_axis(cand, by_val, axis=1)
+        vals = np.take_along_axis(vals, by_val, axis=1)
+        # elements outside the candidates are >= the last candidate value
+        tied = vals[:, depth - 1] == vals[:, depth]
+    else:
+        order = np.argsort(d, axis=1)[:, : depth + 1]
+        vals = np.take_along_axis(d, order, axis=1)
+        tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+    order = order[:, :depth]
+    if tied.any():
+        order[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :depth]
+    return order
+
+
+def _group_codes(group_ids) -> np.ndarray:
+    """(n,) intp code per group id; -1 for the empty (ungrouped) id."""
+    index: dict[str, int] = {}
+    return np.array([-1 if g == "" else index.setdefault(g, len(index))
+                     for g in group_ids], dtype=np.intp)
+
+
+def _rank_block(d: np.ndarray, rows: np.ndarray, depth: int,
+                groups: np.ndarray | None) -> np.ndarray:
+    """Rows ``rows`` of ``d`` (+inf diagonal) ranked to ``depth`` columns.
+
+    With ``groups``, each row is partitioned allowed-then-excluded: the
+    others sharing the row's group follow all allowed neighbors, each part
+    in (distance, index) order.
+    """
+    if groups is None:
+        return _rank_rows(d[rows], depth)
+    n = d.shape[1]
+    block = d[rows]  # a copy: rows is an index array
+    excluded = (groups[None, :] == groups[rows, None]) & (groups[rows, None] >= 0)
+    excluded[np.arange(len(rows)), rows] = False  # self is ranked last by its +inf
+    block[excluded] = np.inf
+    order = _rank_rows(block, depth)
+    n_allowed = (n - 1) - excluded.sum(axis=1)
+    for r in np.nonzero(n_allowed < depth)[0]:
+        others = np.nonzero(excluded[r])[0]
+        tail = others[np.argsort(d[rows[r], others], kind="stable")]
+        order[r, n_allowed[r]:] = tail[: depth - n_allowed[r]]
+    return order
+
+
+def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
+          groups: np.ndarray | None) -> np.ndarray:
+    """``_rank_block`` over ``rows`` taken a block at a time."""
+    out = np.empty((len(rows), depth), dtype=np.intp)
+    for blk in _row_blocks(len(rows), d.shape[1]):
+        out[blk] = _rank_block(d, rows[blk], depth, groups)
+    return out
+
 
 @dataclass(frozen=True, eq=False)
 class NeighborTable:
-    """Per-sample ranking of all other samples by ascending distance.
+    """Per-sample ranking of the other samples by ascending distance, to a depth.
 
     ``order[i, j]`` is the index of the (j+1)-th nearest neighbor of sample
-    i (self excluded); ``dist[i, j]`` the corresponding distance. Distance
-    ties are broken by ascending sample index.
+    i (self excluded), for j < ``depth``; ``dist[i, j]`` the corresponding
+    distance. Distance ties are broken by ascending sample index.
 
-    ``limit[i]`` counts the usable leading entries of row i. Without group
-    exclusion this is n-1 everywhere; with it, same-group neighbors are
-    moved behind the usable prefix and ``limit`` shrinks accordingly.
+    ``limit[i]`` counts the usable entries of row i's full ranking. Without
+    group exclusion this is n-1 everywhere; with it, same-group neighbors
+    are moved behind the usable prefix and ``limit`` shrinks accordingly.
+
+    ``distances`` is the n×n matrix the rows were ranked from (+inf on the
+    diagonal) and ``groups`` the group codes used for exclusion (None
+    without it); ``ranked`` ranks rows deeper than ``depth`` from them.
     """
 
-    order: np.ndarray  # (n, n-1) intp
-    dist: np.ndarray   # (n, n-1) float64
-    limit: np.ndarray  # (n,) intp
+    order: np.ndarray      # (n, depth) intp
+    dist: np.ndarray       # (n, depth) float64
+    limit: np.ndarray      # (n,) intp
+    distances: np.ndarray  # (n, n) float64
+    groups: np.ndarray | None
     metric: str = "cosine"
     exclude_same_group: bool = False
 
@@ -41,9 +138,24 @@ class NeighborTable:
         return self.order.shape[0]
 
     @property
+    def depth(self) -> int:
+        """Number of ranked columns stored per row."""
+        return self.order.shape[1]
+
+    @property
     def max_rank(self) -> int:
         """Largest rank k valid for every sample."""
         return int(self.limit.min())
+
+    def ranked(self, rows, depth: int) -> np.ndarray:
+        """The first ``depth`` columns of the given rows' rankings.
+
+        Read from ``order`` when it is deep enough, ranked from
+        ``distances`` otherwise; both give the same columns.
+        """
+        if depth <= self.depth:
+            return self.order[rows, :depth]
+        return _rank(self.distances, np.arange(self.n)[rows], depth, self.groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +193,11 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "cosine") -> np.ndarra
             bad = int(np.nonzero(norms == 0.0)[0][0])
             raise ValueError(f"zero-norm vector at row {bad}")
         unit = v / norms[:, None]
-        d = 1.0 - unit @ unit.T
+        del v
+        # the symmetric product: a row-blocked one differs in the last bit
+        d = unit @ unit.T
+        del unit
+        np.subtract(1.0, d, out=d)
         np.clip(d, 0.0, 2.0, out=d)
     elif metric == "euclidean":
         sq = (v * v).sum(axis=1)
@@ -98,42 +214,51 @@ def build_neighbor_table(
     ds: EmbeddingDataset,
     metric: str = "cosine",
     exclude_same_group: bool = False,
+    depth: int | None = None,
 ) -> NeighborTable:
-    """Full exact sort of all cross-distances per sample.
+    """Exact ranking of every sample's cross-distances, ``depth`` columns deep.
 
-    With ``exclude_same_group``, neighbors sharing a non-empty group id with
-    the query sample are stably moved behind the usable prefix of each row;
-    their distances are kept so the row remains a permutation of the other
-    indices, partitioned into allowed-then-excluded.
+    ``depth`` defaults to the full n-1 and is capped there. With
+    ``exclude_same_group``, neighbors sharing a non-empty group id with the
+    query sample are stably moved behind the usable prefix of each row; the
+    full row is a permutation of the other indices, partitioned into
+    allowed-then-excluded, and the table holds its first ``depth`` columns.
     """
     n = ds.n
+    depth = n - 1 if depth is None else min(depth, n - 1)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     d = pairwise_distances(ds.vectors, metric=metric)
     np.fill_diagonal(d, np.inf)
-    # stable argsort implements the ascending-index tie rule
-    order = np.argsort(d, axis=1, kind="stable")[:, : n - 1]
+    groups = _group_codes(ds.group_ids) if exclude_same_group else None
+    order = _rank(d, np.arange(n), depth, groups)
     dist = np.take_along_axis(d, order, axis=1)
     limit = np.full(n, n - 1, dtype=np.intp)
+    if groups is not None:
+        grouped = groups >= 0
+        sizes = np.bincount(groups[grouped])
+        limit[grouped] -= sizes[groups[grouped]] - 1
 
-    if exclude_same_group:
-        groups = np.array(ds.group_ids, dtype=object)
-        grouped = groups != ""
-        excluded = (groups[order] == groups[:, None]) & grouped[:, None] & grouped[order]
-        part = np.argsort(excluded, axis=1, kind="stable")
-        order = np.take_along_axis(order, part, axis=1)
-        dist = np.take_along_axis(dist, part, axis=1)
-        limit = (n - 1) - excluded.sum(axis=1)
-
-    for arr in (order, dist, limit):
+    for arr in (order, dist, limit, d):
         arr.flags.writeable = False
-    return NeighborTable(order, dist, limit, metric, exclude_same_group)
+    return NeighborTable(order, dist, limit, d, groups, metric, exclude_same_group)
 
 
 def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves:
-    """Per-rank same-label fractions over ranks 1..nt.max_rank."""
+    """Per-rank same-label fractions over ranks 1..nt.max_rank.
+
+    Rows are ranked a block at a time and folded into per-rank counts, so
+    no (n, max_rank) table is held.
+    """
     depth = nt.max_rank
-    neigh = nt.order[:, :depth]
-    f_bio = (ds.bio_codes[neigh] == ds.bio_codes[:, None]).mean(axis=0)
-    f_conf = (ds.conf_codes[neigh] == ds.conf_codes[:, None]).mean(axis=0)
+    same_bio = np.zeros(depth, dtype=np.int64)
+    same_conf = np.zeros(depth, dtype=np.int64)
+    for rows in _row_blocks(nt.n, nt.n):
+        neigh = nt.ranked(rows, depth)
+        same_bio += (ds.bio_codes[neigh] == ds.bio_codes[rows, None]).sum(axis=0)
+        same_conf += (ds.conf_codes[neigh] == ds.conf_codes[rows, None]).sum(axis=0)
+    f_bio = same_bio / nt.n
+    f_conf = same_conf / nt.n
     f_bio.flags.writeable = False
     f_conf.flags.writeable = False
     return FrequencyCurves(f_bio, f_conf)

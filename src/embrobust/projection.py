@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import EmbeddingDataset
 from .evaluation import AnalysisError
-from .neighbors import pairwise_distances
+from .neighbors import _rank_rows, _row_blocks, pairwise_distances
 
 _EPS = 1e-12
 
@@ -248,13 +248,15 @@ def trustworthiness(
     dl = pairwise_distances(coords, metric="euclidean")
     np.fill_diagonal(dh, np.inf)
     np.fill_diagonal(dl, np.inf)
-    order_high = np.argsort(dh, axis=1, kind="stable")[:, : n - 1]
-    order_low = np.argsort(dl, axis=1, kind="stable")[:, :k]
-
-    rank_high = np.empty((n, n), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    rank_high[rows, order_high] = np.arange(1, n)[None, :]
-
-    ranks_of_low = rank_high[rows, order_low]
-    penalty = np.maximum(ranks_of_low - k, 0).sum()
+    # high-space rank of each of the k low-space neighbors j of i, under the
+    # tie rule: 1 + #{m : dh[i, m] < dh[i, j], or equal with m < j}
+    cols = np.arange(n)
+    penalty = 0
+    for rows in _row_blocks(n, n * k):
+        low = _rank_rows(dl[rows], k)[:, :, None]
+        high = dh[rows][:, None, :]
+        at = np.take_along_axis(high, low, axis=2)
+        before = (high < at) | ((high == at) & (cols < low))
+        ranks = before.sum(axis=2) + 1
+        penalty += int(np.maximum(ranks - k, 0).sum())
     return float(1.0 - 2.0 * penalty / (n * k * (2.0 * n - 3.0 * k - 1.0)))

@@ -56,7 +56,7 @@ class RobustnessReport:
 
 
 def _same_label_counts(codes: np.ndarray, nt: NeighborTable, k: int) -> int:
-    neigh = nt.order[:, :k]
+    neigh = nt.ranked(slice(None), k)
     return int((codes[neigh] == codes[:, None]).sum())
 
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embrobust
 from embrobust import (SynthSpec, assign_folds, build_neighbor_table,
                        confounder_analysis, frequency_curves, generate,
                        knn_predict, load_dataset, logreg_cv, robustness_index)
@@ -157,6 +161,34 @@ def test_rerun_reproduces_identical_bytes(workspace, tmp_path):
     for name in ("tsne_coords.csv", "tsne_kl.csv", "tsne_bio.svg",
                  "tsne_conf.svg", "frequency_curves.csv", "frequency_curves.svg"):
         assert (out2 / name).read_bytes() == (workspace / "out" / name).read_bytes()
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    """index, curves and confounders write the same bytes with 1 and 2 BLAS
+    threads, each run in a fresh interpreter that reads the setting."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--n-bio", "4", "--n-conf", "4",
+                 "--per-cell", "50", "--dim", "96", "--seed", "3"]) == 0
+    ds_flags = ["--manifest", str(data / "manifest.csv"),
+                "--embeddings", str(data / "embeddings.bin")]
+    src = Path(embrobust.__file__).resolve().parents[1]
+    snapshots = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        commands = [["index", *ds_flags, "--k", "50", "--out-dir", str(out)],
+                    ["curves", *ds_flags, "--out-dir", str(out)],
+                    ["confounders", *ds_flags, "--out-dir", str(out)]]
+        script = ("import json, sys\n"
+                  "from embrobust.cli import main\n"
+                  "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(snapshots[0]) == 8
+    assert snapshots[0] == snapshots[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from embrobust import (AnalysisError, EmbeddingDataset, SynthSpec,
                        center_error_relation, confounder_analysis, generate,
                        knn_predict, logreg_cv, logreg_fit, logreg_predict,
                        restrict_for_confounders)
-from embrobust.evaluation import softmax_loss_grad
+from embrobust.evaluation import (FoldAssignment, _grid_counts, _grid_vote,
+                                  _training_neighbor_prefix, softmax_loss_grad)
 
 from conftest import make_random_dataset, make_synth
 
@@ -92,6 +93,89 @@ def oracle_knn_predictions(ds, folds, target, k):
                      if v == best)[1]
         out.append(winner)
     return out
+
+
+def oracle_training_ranking(ds, folds, i):
+    """Samples outside i's fold sorted by (distance to i, index), with the
+    distances recomputed for this query alone."""
+    vi = ds.vectors[i]
+    ni = float(np.sqrt(np.dot(vi, vi)))
+    cand = []
+    for j in range(ds.n):
+        if folds.fold_of[j] == folds.fold_of[i]:
+            continue
+        vj = ds.vectors[j]
+        d = 1.0 - float(np.dot(vi, vj)) / (ni * float(np.sqrt(np.dot(vj, vj))))
+        cand.append((min(max(d, 0.0), 2.0), j))
+    return [j for _, j in sorted(cand)]
+
+
+def oracle_vote(labels):
+    """Majority label; ties go to the tied label met first."""
+    votes: dict[str, int] = {}
+    first_rank: dict[str, int] = {}
+    for rank, lab in enumerate(labels):
+        votes[lab] = votes.get(lab, 0) + 1
+        first_rank.setdefault(lab, rank)
+    best = max(votes.values())
+    return min((first_rank[lab], lab) for lab, v in votes.items() if v == best)[1]
+
+
+def oracle_fold_mean(correct, folds):
+    accs = []
+    for f in range(folds.n_folds):
+        rows = [i for i in range(len(correct)) if folds.fold_of[i] == f]
+        if rows:
+            accs.append(sum(correct[i] for i in rows) / len(rows))
+    return np.mean(accs)
+
+
+def reference_vote(neighbor_codes, k, n_classes):
+    """The per-k vote the grid vote replaced: majority label among the first
+    k columns; ties go to the class of the nearest neighbor holding a tied
+    class."""
+    lab = neighbor_codes[:, :k]
+    onehot = lab[:, :, None] == np.arange(n_classes)[None, None, :]
+    counts = onehot.sum(axis=1)
+    first = np.where(onehot.any(axis=1), onehot.argmax(axis=1), k)
+    best = counts.max(axis=1)
+    tie_key = np.where(counts == best[:, None], first, k + 1)
+    return tie_key.argmin(axis=1)
+
+
+def test_grid_vote_equals_per_k_vote():
+    rng = np.random.default_rng(61)
+    ks = np.array([1, 2, 3, 4, 7, 8, 31, 64])
+    for n_classes in (2, 3, 7):
+        codes = rng.integers(n_classes, size=(400, 64))
+        grid = _grid_vote(codes, _grid_counts(codes, n_classes, ks))
+        for g, k in enumerate(ks):
+            np.testing.assert_array_equal(grid[:, g], reference_vote(codes, k, n_classes))
+
+
+def test_training_prefix_ranks_deeper_when_stored_prefix_is_short():
+    ds = make_random_dataset(seed=41, n=60, dim=5)
+    full = build_neighbor_table(ds)
+    # sample 0 and its 12 nearest neighbors share fold 0, so a 10-deep
+    # table holds no training neighbor of sample 0
+    fold_of = np.arange(ds.n) % 3
+    fold_of[full.order[0, :12]] = 0
+    fold_of[0] = 0
+    folds = FoldAssignment(fold_of, 3, seed=-1)
+    shallow = build_neighbor_table(ds, depth=10)
+    assert (fold_of[shallow.order[0]] == 0).all()
+    for k in (1, 5, 20):
+        expected = [oracle_training_ranking(ds, folds, i)[:k] for i in range(ds.n)]
+        for nt in (shallow, full):
+            assert _training_neighbor_prefix(nt, folds, k).tolist() == expected
+        assert (knn_predict(ds, shallow, folds, "bio", k).predictions
+                == knn_predict(ds, full, folds, "bio", k).predictions)
+    messages = []
+    for nt in (shallow, full):
+        with pytest.raises(AnalysisError, match="exceeds training-fold size") as exc:
+            _training_neighbor_prefix(nt, folds, 40)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_knn_perfect_on_tight_clusters():
@@ -452,3 +536,83 @@ def test_relation_majority_is_strict():
     assert rel.fraction_center_error.max() <= 1.0
     counted = rel.bin_counts.sum()
     assert counted == ds.n
+
+
+# ---------------------------------------------------------------------------
+# per-query oracles for the kNN-run ensemble
+# ---------------------------------------------------------------------------
+
+ENSEMBLE_GRID = (4, 1, 16, 4, 2)  # unsorted, with a repeated k
+
+
+def confounded_ds():
+    return generate(SynthSpec(n_bio=3, n_conf=3, per_cell=8, dim=12,
+                              bio_strength=0.6, conf_strength=1.0,
+                              noise_sigma=0.7, seed=13))
+
+
+def oracle_confounders(ds, n_folds, k_grid, seeds):
+    """(frac_same_center, acc_bio, acc_conf, n_misclassified), one query at a time."""
+    fractions = [[] for _ in k_grid]
+    acc_bio = np.zeros((len(seeds), len(k_grid)))
+    acc_conf = np.zeros((len(seeds), len(k_grid)))
+    for r, seed in enumerate(seeds):
+        folds = assign_folds(ds, n_folds, seed)
+        ranked = [oracle_training_ranking(ds, folds, i) for i in range(ds.n)]
+        for ki, k in enumerate(k_grid):
+            bio_ok, conf_ok = [], []
+            for i in range(ds.n):
+                near = ranked[i][:k]
+                pred = oracle_vote([ds.bio_labels[j] for j in near])
+                bio_ok.append(pred == ds.bio_labels[i])
+                conf_ok.append(oracle_vote([ds.conf_labels[j] for j in near])
+                               == ds.conf_labels[i])
+                if pred != ds.bio_labels[i]:
+                    voters = [j for j in near if ds.bio_labels[j] == pred]
+                    same = [j for j in voters if ds.conf_labels[j] == ds.conf_labels[i]]
+                    fractions[ki].append(len(same) / len(voters))
+            acc_bio[r, ki] = oracle_fold_mean(bio_ok, folds)
+            acc_conf[r, ki] = oracle_fold_mean(conf_ok, folds)
+    frac = np.array([np.mean(f) if f else np.nan for f in fractions])
+    return (frac, acc_bio.mean(axis=0), acc_conf.mean(axis=0),
+            np.array([len(f) for f in fractions]))
+
+
+def oracle_center_error_fraction(ds, n_folds, k_grid, seeds):
+    runs = np.zeros(ds.n, dtype=np.int64)
+    for seed in seeds:
+        folds = assign_folds(ds, n_folds, seed)
+        for i in range(ds.n):
+            ranked = oracle_training_ranking(ds, folds, i)
+            for k in k_grid:
+                near = ranked[:k]
+                if oracle_vote([ds.bio_labels[j] for j in near]) == ds.bio_labels[i]:
+                    continue
+                both = sum(1 for j in near if ds.bio_labels[j] != ds.bio_labels[i]
+                           and ds.conf_labels[j] == ds.conf_labels[i])
+                runs[i] += 2 * both > k
+    return runs / (len(seeds) * len(k_grid))
+
+
+def test_confounder_analysis_matches_per_query_oracle():
+    ds = confounded_ds()
+    frac, acc_bio, acc_conf, n_mis = oracle_confounders(ds, 4, ENSEMBLE_GRID, (3, 4))
+    assert n_mis.min() > 0
+    for nt in (None, build_neighbor_table(ds, depth=3)):
+        report = confounder_analysis(ds, n_folds=4, k_grid=ENSEMBLE_GRID, reps=2,
+                                     seeds=(3, 4), nt=nt)
+        assert report.frac_same_center.tobytes() == frac.tobytes()
+        assert report.acc_bio.tobytes() == acc_bio.tobytes()
+        assert report.acc_conf.tobytes() == acc_conf.tobytes()
+        assert report.n_misclassified.tolist() == n_mis.tolist()
+
+
+def test_center_error_relation_matches_per_query_oracle():
+    ds = confounded_ds()
+    expected = oracle_center_error_fraction(ds, 4, ENSEMBLE_GRID, (3, 4))
+    assert 0 < (expected > 0).sum() < ds.n
+    for nt in (None, build_neighbor_table(ds, depth=3)):
+        rel = center_error_relation(ds, reps=2, k_grid=ENSEMBLE_GRID, lam=1e-2,
+                                    seeds=(3, 4), n_folds=4, nt=nt,
+                                    logreg_max_iter=200)
+        assert rel.fraction_center_error.tobytes() == expected.tobytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embrobust import (EmbeddingDataset, SynthSpec, build_neighbor_table,
-                       cosine_distance, frequency_curves, generate)
+                       cosine_distance, frequency_curves, generate, neighbors)
 
 from conftest import make_random_dataset
 
@@ -186,3 +186,134 @@ def test_exclude_same_group():
         assert (np.diff(nt.dist[i][: nt.limit[i]]) >= 0).all()
         assert (np.diff(nt.dist[i][nt.limit[i]:]) >= 0).all()
     assert nt.max_rank == 8
+
+
+# ---------------------------------------------------------------------------
+# bounded-depth engine
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Rank a few rows per block, so every table below spans many blocks."""
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", 1000)
+
+
+def reference_partitioned_table(ds, exclude_same_group):
+    """The full-depth table as one stable argsort of every row, with
+    same-group neighbors stably moved behind the allowed ones."""
+    n = ds.n
+    d = neighbors.pairwise_distances(ds.vectors)
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1, kind="stable")[:, : n - 1]
+    dist = np.take_along_axis(d, order, axis=1)
+    limit = np.full(n, n - 1, dtype=np.intp)
+    if exclude_same_group:
+        groups = np.array(ds.group_ids, dtype=object)
+        grouped = groups != ""
+        excluded = (groups[order] == groups[:, None]) & grouped[:, None] & grouped[order]
+        part = np.argsort(excluded, axis=1, kind="stable")
+        order = np.take_along_axis(order, part, axis=1)
+        dist = np.take_along_axis(dist, part, axis=1)
+        limit = (n - 1) - excluded.sum(axis=1)
+    return order, dist, limit
+
+
+def duplicated_dataset(seed: int, n_distinct: int, copies: int, dim: int,
+                       groups=None) -> EmbeddingDataset:
+    """Small-integer vectors, each repeated ``copies`` times at shuffled
+    positions, so whole blocks of distances tie exactly."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, size=(n_distinct, dim)).astype(float)
+    base[(base == 0).all(axis=1), 0] = 1.0
+    vectors = base[rng.permutation(np.repeat(np.arange(n_distinct), copies))]
+    n = len(vectors)
+    return EmbeddingDataset.from_arrays(
+        [f"s{i}" for i in range(n)], vectors, ["t"] * n, ["c"] * n, groups)
+
+
+def test_truncated_tables_equal_oracle_prefix(small_blocks):
+    cases = [make_random_dataset(seed=5, n=120, dim=6),
+             duplicated_dataset(seed=6, n_distinct=17, copies=7, dim=3)]
+    for ds in cases:
+        order, dist = oracle_table(ds.vectors)
+        n = ds.n
+        # both kernel paths: partition below n/8, full argsort from there
+        for depth in (0, 1, 2, 5, n // 8 - 1, n // 8, n // 2, n - 2, n - 1):
+            nt = build_neighbor_table(ds, depth=depth)
+            assert nt.depth == depth
+            np.testing.assert_array_equal(nt.order, order[:, :depth])
+            np.testing.assert_array_equal(nt.dist, dist[:, :depth])
+        assert build_neighbor_table(ds, depth=10 * n).depth == n - 1
+    # the duplicates really do tie across the depth boundaries tried above
+    dist = oracle_table(cases[1].vectors)[1]
+    for depth in (2, 5, 14):
+        assert (dist[:, depth - 1] == dist[:, depth]).sum() > 10
+
+
+def test_tie_only_across_the_depth_boundary(small_blocks):
+    # one duplicated vector among random ones: cut each row between its two
+    # copies, and the only tie in the row straddles the depth boundary
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(size=(120, 4))
+    vectors[77] = vectors[30]
+    ds = EmbeddingDataset.from_arrays([f"s{i}" for i in range(120)], vectors,
+                                      ["t"] * 120, ["c"] * 120)
+    order, dist = oracle_table(vectors)
+    depths = set()
+    for i in set(range(120)) - {30, 77}:
+        r = order[i].tolist().index(30)
+        assert order[i, r + 1] == 77 and dist[i, r] == dist[i, r + 1]
+        depths.add(r + 1)
+    assert min(depths) < 15 <= max(depths)  # both kernel paths
+    for depth in sorted(depths):
+        np.testing.assert_array_equal(build_neighbor_table(ds, depth=depth).order,
+                                      order[:, :depth])
+
+
+def test_ranked_deeper_equals_table_prefix(small_blocks):
+    ds = duplicated_dataset(seed=7, n_distinct=12, copies=6, dim=3)
+    full = build_neighbor_table(ds)
+    shallow = build_neighbor_table(ds, depth=3)
+    rows = np.array([0, 5, 17, 40, 71])
+    for depth in (2, 3, 4, 9, 30, ds.n - 1):
+        np.testing.assert_array_equal(shallow.ranked(rows, depth), full.order[rows, :depth])
+
+
+def test_bounded_exclude_same_group_is_prefix_of_full_partition(small_blocks):
+    groups = [f"g{i // 4}" if i % 9 else "" for i in range(96)]
+    cases = [duplicated_dataset(seed=9, n_distinct=16, copies=6, dim=3, groups=groups)]
+    rng = np.random.default_rng(10)
+    cases.append(EmbeddingDataset.from_arrays(
+        [f"s{i}" for i in range(96)], rng.normal(size=(96, 5)), ["t"] * 96, ["c"] * 96,
+        [f"g{v}" for v in rng.integers(12, size=96)]))
+    for ds in cases:
+        order, dist, limit = reference_partitioned_table(ds, exclude_same_group=True)
+        # depths below, at and beyond the smallest usable prefix
+        for depth in (1, 4, 11, 12, 40, int(limit.min()), int(limit.max()), ds.n - 1):
+            nt = build_neighbor_table(ds, exclude_same_group=True, depth=depth)
+            np.testing.assert_array_equal(nt.order, order[:, :depth])
+            np.testing.assert_array_equal(nt.dist, dist[:, :depth])
+            np.testing.assert_array_equal(nt.limit, limit)
+        shallow = build_neighbor_table(ds, exclude_same_group=True, depth=2)
+        rows = np.arange(0, ds.n, 7)
+        np.testing.assert_array_equal(shallow.ranked(rows, ds.n - 1), order[rows])
+
+
+def test_streamed_curves_equal_full_table_curves(small_blocks):
+    groups = [f"g{i // 5}" for i in range(300)]
+    ds = generate(SynthSpec(n_bio=4, n_conf=5, per_cell=15, dim=12,
+                            bio_strength=0.6, conf_strength=1.0,
+                            noise_sigma=0.4, seed=31))
+    ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels,
+                                      ds.conf_labels, groups)
+    for exclude in (False, True):
+        order, _, limit = reference_partitioned_table(ds, exclude)
+        depth = int(limit.min())
+        neigh = order[:, :depth]
+        f_bio = (ds.bio_codes[neigh] == ds.bio_codes[:, None]).mean(axis=0)
+        f_conf = (ds.conf_codes[neigh] == ds.conf_codes[:, None]).mean(axis=0)
+        for table_depth in (0, 50, None):
+            nt = build_neighbor_table(ds, exclude_same_group=exclude, depth=table_depth)
+            curves = frequency_curves(ds, nt)
+            assert curves.f_bio.tobytes() == f_bio.tobytes()
+            assert curves.f_conf.tobytes() == f_conf.tobytes()
