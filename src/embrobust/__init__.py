@@ -4,7 +4,6 @@ from .dataset import (
     ClassCountMatrix,
     DatasetError,
     EmbeddingDataset,
-    SampleRecord,
     chance_levels,
     class_count_matrix,
     load_dataset,
@@ -68,7 +67,6 @@ __all__ = [
     "NeighborTable",
     "ProjectionResult",
     "RobustnessReport",
-    "SampleRecord",
     "SynthSpec",
     "TsneConfig",
     "UndefinedIndexError",

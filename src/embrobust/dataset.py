@@ -15,7 +15,7 @@ import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,15 +26,6 @@ BINARY_VERSION = 1
 
 class DatasetError(ValueError):
     """Raised when dataset files or constructed contents violate the format."""
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    id: str
-    vector: np.ndarray
-    bio_label: str
-    conf_label: str
-    group_id: str = ""  # "" means ungrouped
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +63,6 @@ class EmbeddingDataset:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
-
-    @property
-    def samples(self) -> list[SampleRecord]:
-        return [
-            SampleRecord(self.ids[i], self.vectors[i], self.bio_labels[i],
-                         self.conf_labels[i], self.group_ids[i])
-            for i in range(self.n)
-        ]
 
     @classmethod
     def from_arrays(
@@ -143,20 +126,6 @@ class EmbeddingDataset:
         conf_codes.flags.writeable = False
         return cls(ids, vectors, bio_labels, conf_labels, group_ids,
                    bio_classes, conf_classes, bio_codes, conf_codes)
-
-    @classmethod
-    def from_records(cls, records: Iterable[SampleRecord]) -> "EmbeddingDataset":
-        records = list(records)
-        if not records:
-            raise DatasetError("no records")
-        dims = {len(np.atleast_1d(r.vector)) for r in records}
-        if len(dims) != 1:
-            raise DatasetError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        vectors = np.array([np.asarray(r.vector, dtype=np.float64) for r in records])
-        return cls.from_arrays(
-            [r.id for r in records], vectors,
-            [r.bio_label for r in records], [r.conf_label for r in records],
-            [r.group_id for r in records])
 
     def subset(self, indices: np.ndarray) -> "EmbeddingDataset":
         """New dataset keeping ``indices`` rows, classes recomputed."""

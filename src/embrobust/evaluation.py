@@ -20,6 +20,8 @@ from .neighbors import NeighborTable, build_neighbor_table
 DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32, 63, 125, 250)
 DEFAULT_LAMBDA = 1e-3
 DEFAULT_REPS = 5
+# curvature pairs kept by the logistic-regression L-BFGS recursion
+LBFGS_HISTORY = 10
 
 
 class AnalysisError(ValueError):
@@ -283,14 +285,49 @@ def softmax_loss_grad(Xs: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarra
     return float(loss), grad_W, grad_b
 
 
+def _lbfgs_direction(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]
+                     ) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over (s, y, 1/y's) pairs, oldest first.
+
+    The initial inverse Hessian is s'y/y'y of the newest pair times I.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
+def _remember_pair(pairs: list[tuple[np.ndarray, np.ndarray, float]],
+                   s: np.ndarray, y: np.ndarray) -> None:
+    """Append the curvature pair (s, y) unless y's <= 0 (rounding on a flat
+    stretch); keep the newest ``LBFGS_HISTORY``."""
+    sy = float(y @ s)
+    if sy > 0.0:
+        pairs.append((s, y, 1.0 / sy))
+        del pairs[:-LBFGS_HISTORY]
+
+
 def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
                max_iter: int = 5000, grad_tol: float = 1e-6) -> LogRegModel:
-    """Fit a multinomial softmax model by full-batch gradient descent.
+    """Fit a multinomial softmax model by L-BFGS with Armijo backtracking.
 
     Features are standardized internally (constant features zeroed out);
-    optimization starts from zero weights and backtracks on the step size
-    until the Armijo condition holds, so the objective never increases.
-    The zero-initialized full-batch optimizer is deterministic.
+    optimization starts from zero weights. Each iteration takes the L-BFGS
+    direction over the last ``LBFGS_HISTORY`` curvature pairs (steepest
+    descent when that is not a descent direction, which also clears the
+    history) and halves a unit step until the Armijo condition holds, so
+    the objective never increases. ``converged`` means max |grad| fell
+    below ``grad_tol``; a line search that finds no descent step stops the
+    fit unconverged. The zero-initialized full-batch optimizer is
+    deterministic.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
@@ -308,43 +345,49 @@ def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
     Xs = (X - mean) * inv_scale
 
     d, C = X.shape[1], len(classes)
-    W = np.zeros((d, C))
-    b = np.zeros(C)
-    loss, gW, gb = softmax_loss_grad(Xs, yc, W, b, lam)
+
+    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the parameters as one flat vector: W row-major, then b
+        return theta[:d * C].reshape(d, C), theta[d * C:]
+
+    theta = np.zeros(d * C + C)
+    loss, gW, gb = softmax_loss_grad(Xs, yc, *unpack(theta), lam)
+    g = np.concatenate((gW.ravel(), gb))
     trace = [loss]
-    step = 1.0
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        gnorm = max(np.abs(gW).max(), np.abs(gb).max())
-        if gnorm < grad_tol:
+    while it < max_iter:
+        if np.abs(g).max() < grad_tol:
             converged = True
-            it -= 1
             break
-        g2 = float((gW * gW).sum() + (gb * gb).sum())
-        step = min(step * 2.0, 1e6)
-        accepted = False
+        p = _lbfgs_direction(g, pairs)
+        slope = float(g @ p)
+        if not slope < 0.0:
+            pairs.clear()
+            p = -g
+            slope = -float(g @ g)
+        step = 1.0
         for _ in range(80):
-            W_new = W - step * gW
-            b_new = b - step * gb
-            new_loss, gW_new, gb_new = softmax_loss_grad(Xs, yc, W_new, b_new, lam)
+            theta_new = theta + step * p
+            new_loss, gW, gb = softmax_loss_grad(Xs, yc, *unpack(theta_new), lam)
             if not np.isfinite(new_loss):
-                raise AnalysisError(f"non-finite loss at iteration {it}, step {step}")
-            if new_loss <= loss - 1e-4 * step * g2:
-                accepted = True
+                raise AnalysisError(f"non-finite loss at iteration {it + 1}, step {step}")
+            if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             # step underflow: no representable descent step remains
-            converged = True
-            it -= 1
             break
+        it += 1
         if new_loss > loss:
             raise AnalysisError(f"objective increased at iteration {it}")
-        W, b, loss, gW, gb = W_new, b_new, new_loss, gW_new, gb_new
+        g_new = np.concatenate((gW.ravel(), gb))
+        _remember_pair(pairs, theta_new - theta, g_new - g)
+        theta, loss, g = theta_new, new_loss, g_new
         trace.append(loss)
 
-    return LogRegModel(classes, mean, inv_scale, W, b,
+    return LogRegModel(classes, mean, inv_scale, *unpack(theta),
                        np.array(trace), it, converged)
 
 

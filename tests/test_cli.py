@@ -164,8 +164,9 @@ def test_rerun_reproduces_identical_bytes(workspace, tmp_path):
 
 
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
-    """index, curves and confounders write the same bytes with 1 and 2 BLAS
-    threads, each run in a fresh interpreter that reads the setting."""
+    """index, curves, confounders, eval and relation write the same bytes
+    with 1 and 2 BLAS threads, each run in a fresh interpreter that reads
+    the setting."""
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--n-bio", "4", "--n-conf", "4",
                  "--per-cell", "50", "--dim", "96", "--seed", "3"]) == 0
@@ -177,7 +178,9 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
         out = tmp_path / f"out{threads}"
         commands = [["index", *ds_flags, "--k", "50", "--out-dir", str(out)],
                     ["curves", *ds_flags, "--out-dir", str(out)],
-                    ["confounders", *ds_flags, "--out-dir", str(out)]]
+                    ["confounders", *ds_flags, "--out-dir", str(out)],
+                    ["eval", *ds_flags, "--out-dir", str(out)],
+                    ["relation", *ds_flags, "--out-dir", str(out)]]
         script = ("import json, sys\n"
                   "from embrobust.cli import main\n"
                   "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
@@ -187,7 +190,7 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(snapshots[0]) == 8
+    assert len(snapshots[0]) == 13
     assert snapshots[0] == snapshots[1]
 
 

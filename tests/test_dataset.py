@@ -38,7 +38,7 @@ def test_basic_load(tmp_path):
     assert ds.conf_classes == ("C1", "C2")
     assert ds.ids == ("a", "b", "c", "d")
     assert ds.group_ids == ("", "w1", "w1", "")
-    assert ds.samples[1].bio_label == "T1"
+    assert ds.bio_labels[1] == "T1"
     np.testing.assert_array_equal(ds.vectors[3], [1.0, 1.0, 1.0])
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from embrobust import (AnalysisError, EmbeddingDataset, SynthSpec,
+from embrobust import (AnalysisError, EmbeddingDataset, LogRegModel, SynthSpec,
                        assign_folds, build_neighbor_table,
                        center_error_relation, confounder_analysis, generate,
                        knn_predict, logreg_cv, logreg_fit, logreg_predict,
                        restrict_for_confounders)
+from embrobust import evaluation
 from embrobust.evaluation import (FoldAssignment, _grid_counts, _grid_vote,
                                   _training_neighbor_prefix, softmax_loss_grad)
 
@@ -364,6 +365,152 @@ def test_constant_feature_standardized_to_zero():
     y = ["a" if v < 0 else "b" for v in X[:, 0]]
     model = logreg_fit(X, y, lam=1e-3, max_iter=200)
     assert model.inv_scale[1] == 0.0
+
+
+def reference_logreg_fit(X, y, lam, max_iter=5000, grad_tol=1e-6):
+    """The steepest-descent fit that logreg_fit replaced: each step starts at
+    twice the last step size and halves it until the Armijo condition holds.
+    Its ``converged`` flag is not compared and always reads False."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = [str(v) for v in y]
+    classes = tuple(sorted(set(labels)))
+    index = {c: i for i, c in enumerate(classes)}
+    yc = np.array([index[v] for v in labels], dtype=np.intp)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    inv_scale = np.where(std > 0.0, 1.0 / np.where(std > 0.0, std, 1.0), 0.0)
+    Xs = (X - mean) * inv_scale
+    d, C = X.shape[1], len(classes)
+    W = np.zeros((d, C))
+    b = np.zeros(C)
+    loss, gW, gb = softmax_loss_grad(Xs, yc, W, b, lam)
+    trace = [loss]
+    step = 1.0
+    it = 0
+    for it in range(1, max_iter + 1):
+        if max(np.abs(gW).max(), np.abs(gb).max()) < grad_tol:
+            it -= 1
+            break
+        g2 = float((gW * gW).sum() + (gb * gb).sum())
+        step = min(step * 2.0, 1e6)
+        for _ in range(80):
+            W_new = W - step * gW
+            b_new = b - step * gb
+            new_loss, gW_new, gb_new = softmax_loss_grad(Xs, yc, W_new, b_new, lam)
+            if new_loss <= loss - 1e-4 * step * g2:
+                break
+            step *= 0.5
+        else:
+            it -= 1
+            break
+        W, b, loss, gW, gb = W_new, b_new, new_loss, gW_new, gb_new
+        trace.append(loss)
+    return LogRegModel(classes, mean, inv_scale, W, b, np.array(trace), it, False)
+
+
+def _five_class_d64():
+    ds = make_synth(seed=3, n_bio=5, n_conf=2, per_cell=20, dim=64, noise_sigma=1.0)
+    return ds.vectors, list(ds.bio_labels)
+
+
+def _separable_toy():
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(loc=(-2.0, 0.0), scale=0.3, size=(20, 2)),
+                   rng.normal(loc=(2.0, 0.0), scale=0.3, size=(20, 2))])
+    return X, ["neg"] * 20 + ["pos"] * 20
+
+
+def _constant_feature():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 3))
+    X[:, 1] = 7.0
+    return X, ["a" if v < 0 else "b" for v in X[:, 0]]
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-3])
+@pytest.mark.parametrize("make", [_five_class_d64, _separable_toy, _constant_feature])
+def test_logreg_lbfgs_matches_steepest_descent_reference(make, lam):
+    X, y = make()
+    model = logreg_fit(X, y, lam=lam)
+    ref = reference_logreg_fit(X, y, lam)
+    assert model.converged
+    Xs = (X - model.mean) * model.inv_scale
+    yc = np.array([model.classes.index(v) for v in y])
+    loss, gW, gb = softmax_loss_grad(Xs, yc, model.weights, model.bias, lam)
+    assert max(np.abs(gW).max(), np.abs(gb).max()) < 1e-6
+    assert loss == model.loss_trace[-1]
+    assert loss <= ref.loss_trace[-1] + 1e-9
+    assert logreg_predict(model, X) == logreg_predict(ref, X)
+    assert model.n_iter < ref.n_iter
+
+
+def test_logreg_unregularized_separable_stays_monotone():
+    # lam = 0 on separable data has no minimizer; the fit must still stop
+    # cleanly with a non-increasing trace
+    X, y = _separable_toy()
+    model = logreg_fit(X, y, lam=0.0, max_iter=50)
+    assert len(model.loss_trace) == model.n_iter + 1
+    assert (np.diff(model.loss_trace) <= 0).all()
+
+
+def test_logreg_skips_nonpositive_curvature_pairs(monkeypatch):
+    # driven past grad_tol on separable data, the loss bottoms out near
+    # 1e-17 and y's of later steps is rounding noise, often <= 0
+    real_remember, real_direction = evaluation._remember_pair, evaluation._lbfgs_direction
+    seen_sy, stored_rho = [], []
+
+    def remember(pairs, s, yv):
+        seen_sy.append(float(yv @ s))
+        real_remember(pairs, s, yv)
+
+    def direction(g, pairs):
+        stored_rho.extend(rho for _, _, rho in pairs)
+        return real_direction(g, pairs)
+
+    monkeypatch.setattr(evaluation, "_remember_pair", remember)
+    monkeypatch.setattr(evaluation, "_lbfgs_direction", direction)
+    X, y = _five_class_d64()
+    model = logreg_fit(X, y, lam=0.0, max_iter=80, grad_tol=0.0)
+    assert min(seen_sy) <= 0.0
+    assert all(0.0 < rho < np.inf for rho in stored_rho)
+    assert len(model.loss_trace) == model.n_iter + 1
+    assert (np.diff(model.loss_trace) <= 0).all()
+
+
+def test_logreg_uphill_direction_falls_back_to_steepest_descent(monkeypatch):
+    real = evaluation._lbfgs_direction
+    history = []
+
+    def direction(g, pairs):
+        history.append(len(pairs))
+        p = real(g, pairs)
+        return -p if len(history) == 5 else p  # the fifth direction points uphill
+
+    monkeypatch.setattr(evaluation, "_lbfgs_direction", direction)
+    X, y = _five_class_d64()
+    model = logreg_fit(X, y, lam=1e-2)
+    assert model.converged
+    # the fallback cleared the history: only its own step's pair is left
+    assert history[4] == 4 and history[5] == 1
+    assert (np.diff(model.loss_trace) <= 0).all()
+
+
+def test_logreg_line_search_exhaustion_is_not_converged(monkeypatch):
+    real = evaluation.softmax_loss_grad
+    calls = []
+
+    def stalls_after_five(Xs, y, W, b, lam):
+        loss, gW, gb = real(Xs, y, W, b, lam)
+        calls.append(loss)
+        return (loss if len(calls) <= 5 else loss + 1.0), gW, gb
+
+    monkeypatch.setattr(evaluation, "softmax_loss_grad", stalls_after_five)
+    X, y = _five_class_d64()
+    model = logreg_fit(X, y, lam=1e-3)
+    assert not model.converged
+    assert model.n_iter == len(model.loss_trace) - 1
+    assert 1 <= model.n_iter < 5
+    assert len(calls) == 5 + 80  # the last search tried all 80 halvings
 
 
 # ---------------------------------------------------------------------------
