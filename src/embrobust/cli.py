@@ -28,8 +28,7 @@ from .evaluation import (DEFAULT_K_GRID, DEFAULT_LAMBDA, AnalysisError,
                          assign_folds, center_error_relation,
                          confounder_analysis, knn_predict, knn_table_depth,
                          logreg_cv, restrict_for_confounders)
-from .neighbors import (build_neighbor_table, frequency_curves,
-                        write_frequency_csv)
+from .neighbors import build_neighbor_table, frequency_curves
 from .projection import TsneConfig, trustworthiness, tsne
 from .robustness import DEFAULT_K, UndefinedIndexError, robustness_index
 from .svgplot import (BIO_PALETTE, CONF_PALETTE, LineSeries, render_bar_chart,
@@ -61,17 +60,37 @@ def _jsonable(obj):
     return obj
 
 
-def _make_run(subcommand: str, parameters: dict, inputs: dict, outputs: list[str]) -> dict:
+def _make_run(subcommand: str, parameters: dict, inputs: dict) -> dict:
     core = _jsonable({"subcommand": subcommand, "parameters": parameters,
                       "inputs": inputs, "version": __version__})
     run_id = hashlib.sha256(
         json.dumps(core, sort_keys=True).encode()).hexdigest()[:12]
-    return {**core, "outputs": sorted(outputs), "run_id": run_id}
+    return {**core, "run_id": run_id}
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+
+
+def _write_reports(out: Path, run: dict, reports: dict[str, dict | list | str]) -> None:
+    """Write ``{file name: body}`` into ``out`` and record the names in ``run``.
+
+    A dict is a JSON report with ``run`` embedded under "run"; a list is CSV
+    rows, header first; a str is SVG text. Without a JSON report among them,
+    ``run`` itself goes to ``<subcommand>_run.json``.
+    """
+    run["outputs"] = sorted(reports)
+    for name, body in reports.items():
+        if isinstance(body, dict):
+            _write_json(out / name, {"run": run, **body})
+        elif isinstance(body, list):
+            with open(out / name, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(body)
+        else:
+            (out / name).write_text(body, encoding="utf-8")
+    if not any(isinstance(body, dict) for body in reports.values()):
+        _write_json(out / f"{run['subcommand']}_run.json", run)
 
 
 def _out_dir(args) -> Path:
@@ -81,9 +100,11 @@ def _out_dir(args) -> Path:
 
 
 def _load(args) -> EmbeddingDataset:
-    if not args.manifest or not args.embeddings:
-        raise UsageError("--manifest and --embeddings are required")
     return load_dataset(args.manifest, args.embeddings)
+
+
+def _inputs(args) -> dict:
+    return {"manifest": str(args.manifest), "embeddings": str(args.embeddings)}
 
 
 def _bio_colors(ds: EmbeddingDataset) -> dict[str, str]:
@@ -139,7 +160,8 @@ def cmd_synth(args) -> int:
         "bio_strength": args.bio_strength, "conf_strength": args.conf_strength,
         "noise_sigma": args.noise_sigma, "seed": args.seed,
         "embeddings_format": args.embeddings_format, "threads": args.threads,
-    }, {}, [manifest.name, embeddings.name])
+    }, {})
+    run["outputs"] = sorted([manifest.name, embeddings.name])
     _write_json(out / "synth_run.json", run)
     print(f"wrote {manifest} and {embeddings} (n={ds.n}, dim={ds.dim})")
     return 0
@@ -170,17 +192,16 @@ def cmd_index(args) -> int:
     run = _make_run("index", {
         "k": args.k, "exclude_same_group": args.exclude_same_group,
         "threads": args.threads,
-    }, {"manifests": manifests, "embeddings": embeddings, "names": names},
-        ["robustness.json", "robustness_index.svg"])
-    _write_json(out / "robustness.json", {"run": run, "datasets": entries})
-
+    }, {"manifests": manifests, "embeddings": embeddings, "names": names})
     ranked = sorted(entries, key=lambda e: e["r_k"])
-    svg = render_bar_chart(
-        [(e["name"], e["r_k"]) for e in ranked],
-        title=f"Robustness index (k={args.k})", ylabel="index",
-        ref_line=1.0, value_labels=[e["r_k_display"] for e in ranked],
-        meta=run["run_id"])
-    (out / "robustness_index.svg").write_text(svg, encoding="utf-8")
+    _write_reports(out, run, {
+        "robustness.json": {"datasets": entries},
+        "robustness_index.svg": render_bar_chart(
+            [(e["name"], e["r_k"]) for e in ranked],
+            title=f"Robustness index (k={args.k})", ylabel="index",
+            ref_line=1.0, value_labels=[e["r_k_display"] for e in ranked],
+            meta=run["run_id"]),
+    })
     for e in entries:
         print(f"{e['name']}: r_{args.k} = {e['r_k_display']} "
               f"({e['numerator']}/{e['denominator']})")
@@ -195,16 +216,17 @@ def cmd_curves(args) -> int:
     curves = frequency_curves(ds, nt)
     run = _make_run("curves", {
         "exclude_same_group": args.exclude_same_group, "threads": args.threads,
-    }, {"manifest": str(args.manifest), "embeddings": str(args.embeddings)},
-        ["frequency_curves.csv", "frequency_curves.svg"])
-    write_frequency_csv(curves, out / "frequency_curves.csv")
-    svg = render_line_plot(
-        [LineSeries(curves.ranks, curves.f_bio, "#1f77b4", "same biological class"),
-         LineSeries(curves.ranks, curves.f_conf, "#ff7f0e", "same confounder class")],
-        title="Per-rank same-label frequency", xlabel="neighbor rank",
-        ylabel="fraction of samples", y_range=(0.0, 1.0), meta=run["run_id"])
-    (out / "frequency_curves.svg").write_text(svg, encoding="utf-8")
-    _write_json(out / "curves_run.json", run)
+    }, _inputs(args))
+    _write_reports(out, run, {
+        "frequency_curves.csv": [
+            ["j", "f_bio", "f_conf"],
+            *zip(curves.ranks.tolist(), curves.f_bio.tolist(), curves.f_conf.tolist())],
+        "frequency_curves.svg": render_line_plot(
+            [LineSeries(curves.ranks, curves.f_bio, "#1f77b4", "same biological class"),
+             LineSeries(curves.ranks, curves.f_conf, "#ff7f0e", "same confounder class")],
+            title="Per-rank same-label frequency", xlabel="neighbor rank",
+            ylabel="fraction of samples", y_range=(0.0, 1.0), meta=run["run_id"]),
+    })
     print(f"wrote frequency curves for {ds.n} samples ({nt.max_rank} ranks)")
     return 0
 
@@ -289,38 +311,29 @@ def cmd_eval(args) -> int:
     coords = _load_coords(args.coords, ds) if args.coords else None
     out = _out_dir(args)
     folds = assign_folds(ds, args.folds, args.seed)
-    outputs = ["eval.json"]
-    scatter = args.target == "both"  # the accuracy scatter needs both axes
-    if scatter:
-        outputs.append("accuracy_embedding.svg")
-        if args.coords:
-            outputs.append("accuracy_tsne2d.svg")
     run = _make_run("eval", {
         "k": args.k, "lambda": args.lam, "folds": args.folds, "seed": args.seed,
         "target": args.target, "logreg_max_iter": args.logreg_max_iter,
         "coords": str(args.coords) if args.coords else None,
         "exclude_same_group": args.exclude_same_group, "threads": args.threads,
-    }, {"manifest": str(args.manifest), "embeddings": str(args.embeddings)}, outputs)
+    }, _inputs(args))
 
-    payload: dict = {"run": run}
-    payload["embedding"] = _eval_block(
+    payload = {"embedding": _eval_block(
         ds, ds.vectors, "cosine", targets, args.k, args.lam, folds,
-        args.logreg_max_iter, exclude_same_group=args.exclude_same_group)
-    if scatter:
-        (out / "accuracy_embedding.svg").write_text(
-            _accuracy_scatter(payload["embedding"], "Probe accuracy (embedding input)",
-                              run["run_id"]), encoding="utf-8")
+        args.logreg_max_iter, exclude_same_group=args.exclude_same_group)}
     if coords is not None:
         payload["tsne2d"] = _eval_block(
             ds, coords, "euclidean", targets, args.k, args.lam, folds,
             args.logreg_max_iter, require_nonzero=False,
             exclude_same_group=args.exclude_same_group)
-        if scatter:
-            (out / "accuracy_tsne2d.svg").write_text(
-                _accuracy_scatter(payload["tsne2d"],
-                                  "Probe accuracy (2D projection input)",
-                                  run["run_id"]), encoding="utf-8")
-    _write_json(out / "eval.json", payload)
+    reports: dict = {"eval.json": payload}
+    if args.target == "both":  # the accuracy scatter needs both axes
+        reports["accuracy_embedding.svg"] = _accuracy_scatter(
+            payload["embedding"], "Probe accuracy (embedding input)", run["run_id"])
+        if coords is not None:
+            reports["accuracy_tsne2d.svg"] = _accuracy_scatter(
+                payload["tsne2d"], "Probe accuracy (2D projection input)", run["run_id"])
+    _write_reports(out, run, reports)
     emb = payload["embedding"]
     for target in targets:
         print(f"{target}: knn k={args.k} {emb['knn'][target]['accuracy_mean']:.3f}, "
@@ -344,37 +357,32 @@ def cmd_confounders(args) -> int:
         "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
         "seed": args.seed, "rep_seeds": list(report.seeds),
         "exclude_same_group": args.exclude_same_group, "threads": args.threads,
-    }, {"manifest": str(args.manifest), "embeddings": str(args.embeddings)},
-        ["confounders.json", "confounders.csv", "confounders.svg"])
-
-    _write_json(out / "confounders.json", {
-        "run": run,
-        "restricted_bio_classes": list(report.bio_classes),
-        "accuracy_curves_on_restricted_subset": True,
-        "chance_level": report.chance_level,
-        "k_grid": list(report.k_grid),
-        "frac_same_center": report.frac_same_center,
-        "acc_bio": report.acc_bio,
-        "acc_conf": report.acc_conf,
-        "n_misclassified": report.n_misclassified,
-    })
-    with open(out / "confounders.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "frac_same_center", "acc_bio", "acc_conf"])
-        for i, k in enumerate(report.k_grid):
-            writer.writerow([k, repr(float(report.frac_same_center[i])),
-                             repr(float(report.acc_bio[i])),
-                             repr(float(report.acc_conf[i]))])
+    }, _inputs(args))
     ks = np.array(report.k_grid, dtype=float)
-    svg = render_line_plot(
-        [LineSeries(ks, report.frac_same_center, "#d62728",
-                    "same-center fraction of confounders", markers=True),
-         LineSeries(ks, report.acc_bio, "#2ca02c", "biological accuracy", markers=True),
-         LineSeries(ks, report.acc_conf, "#1f77b4", "confounder accuracy", markers=True)],
-        title="Same-center confounders", xlabel="neighbor count k",
-        ylabel="fraction / accuracy", log_x=True, y_range=(0.0, 1.0),
-        h_rules=[(report.chance_level, "chance level")], meta=run["run_id"])
-    (out / "confounders.svg").write_text(svg, encoding="utf-8")
+    _write_reports(out, run, {
+        "confounders.json": {
+            "restricted_bio_classes": list(report.bio_classes),
+            "accuracy_curves_on_restricted_subset": True,
+            "chance_level": report.chance_level,
+            "k_grid": list(report.k_grid),
+            "frac_same_center": report.frac_same_center,
+            "acc_bio": report.acc_bio,
+            "acc_conf": report.acc_conf,
+            "n_misclassified": report.n_misclassified,
+        },
+        "confounders.csv": [
+            ["k", "frac_same_center", "acc_bio", "acc_conf"],
+            *zip(report.k_grid, report.frac_same_center.tolist(),
+                 report.acc_bio.tolist(), report.acc_conf.tolist())],
+        "confounders.svg": render_line_plot(
+            [LineSeries(ks, report.frac_same_center, "#d62728",
+                        "same-center fraction of confounders", markers=True),
+             LineSeries(ks, report.acc_bio, "#2ca02c", "biological accuracy", markers=True),
+             LineSeries(ks, report.acc_conf, "#1f77b4", "confounder accuracy", markers=True)],
+            title="Same-center confounders", xlabel="neighbor count k",
+            ylabel="fraction / accuracy", log_x=True, y_range=(0.0, 1.0),
+            h_rules=[(report.chance_level, "chance level")], meta=run["run_id"]),
+    })
     print(f"restricted to {len(report.bio_classes)} biological classes; "
           f"chance level {report.chance_level:.3g}")
     return 0
@@ -391,39 +399,26 @@ def cmd_tsne(args) -> int:
         early_exaggeration_iters=args.tsne_early_iters,
         learning_rate=args.tsne_lr, seed=args.seed)
     result = tsne(ds, cfg)
-    run = _make_run("tsne", {**cfg.to_dict(), "threads": args.threads},
-                    {"manifest": str(args.manifest), "embeddings": str(args.embeddings)},
-                    ["tsne_coords.csv", "tsne_kl.csv", "tsne_bio.svg",
-                     "tsne_conf.svg", "tsne.json"])
+    run = _make_run("tsne", {**cfg.to_dict(), "threads": args.threads}, _inputs(args))
 
-    with open(out / "tsne_coords.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "x", "y"])
-        for sid, (x, y) in zip(ds.ids, result.coords):
-            writer.writerow([sid, repr(float(x)), repr(float(y))])
-    with open(out / "tsne_kl.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "kl"])
-        for i, kl in enumerate(result.kl_trace):
-            writer.writerow([i, repr(float(kl))])
-
-    bio_map = _bio_colors(ds)
-    conf_map = _conf_colors(ds)
-    for fname, labels, cmap, what in (
-            ("tsne_bio.svg", ds.bio_labels, bio_map, "biological class"),
-            ("tsne_conf.svg", ds.conf_labels, conf_map, "confounder class")):
-        svg = render_scatter(
+    def coloring(labels, cmap, what):
+        return render_scatter(
             result.coords, [cmap[lab] for lab in labels],
             title=f"2D projection colored by {what}", xlabel="t-SNE 1", ylabel="t-SNE 2",
             legend=sorted(cmap.items()), meta=run["run_id"])
-        (out / fname).write_text(svg, encoding="utf-8")
 
     t_k = min(12, (ds.n - 1) // 2)
-    _write_json(out / "tsne.json", {
-        "run": run,
-        "final_kl": float(result.kl_trace[-1]),
-        "trustworthiness": {"k": t_k,
-                            "value": trustworthiness(ds, result.coords, t_k)},
+    _write_reports(out, run, {
+        "tsne_coords.csv": [["sample_id", "x", "y"],
+                            *zip(ds.ids, *result.coords.T.tolist())],
+        "tsne_kl.csv": [["iter", "kl"], *enumerate(result.kl_trace.tolist())],
+        "tsne_bio.svg": coloring(ds.bio_labels, _bio_colors(ds), "biological class"),
+        "tsne_conf.svg": coloring(ds.conf_labels, _conf_colors(ds), "confounder class"),
+        "tsne.json": {
+            "final_kl": float(result.kl_trace[-1]),
+            "trustworthiness": {"k": t_k,
+                                "value": trustworthiness(ds, result.coords, t_k)},
+        },
     })
     print(f"t-SNE finished: final KL {result.kl_trace[-1]:.4f}")
     return 0
@@ -446,31 +441,27 @@ def cmd_relation(args) -> int:
         "lambda": args.lam, "seed": args.seed, "rep_seeds": list(rel.seeds),
         "logreg_max_iter": args.logreg_max_iter,
         "exclude_same_group": args.exclude_same_group, "threads": args.threads,
-    }, {"manifest": str(args.manifest), "embeddings": str(args.embeddings)},
-        ["relation.json", "relation.csv", "relation.svg"])
-
-    _write_json(out / "relation.json", {
-        "run": run,
-        "bin_edges": rel.bin_edges,
-        "bin_counts": rel.bin_counts,
-        "bin_logreg_error": rel.bin_logreg_error,
-        "n_center_related_runs": int((rel.fraction_center_error > 0).sum()),
-    })
-    with open(out / "relation.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "count", "logreg_error_rate"])
-        for i in range(10):
-            writer.writerow([repr(float(rel.bin_edges[i])), repr(float(rel.bin_edges[i + 1])),
-                             int(rel.bin_counts[i]), repr(float(rel.bin_logreg_error[i]))])
+    }, _inputs(args))
     centers = (rel.bin_edges[:-1] + rel.bin_edges[1:]) / 2.0
-    svg = render_line_plot(
-        [LineSeries(centers, rel.bin_logreg_error, "#d62728",
-                    "logreg error rate", markers=True)],
-        title="Regression errors vs center-related kNN errors",
-        xlabel="fraction of kNN runs with a center-related error",
-        ylabel="logistic regression error rate", y_range=(0.0, 1.0),
-        meta=run["run_id"])
-    (out / "relation.svg").write_text(svg, encoding="utf-8")
+    _write_reports(out, run, {
+        "relation.json": {
+            "bin_edges": rel.bin_edges,
+            "bin_counts": rel.bin_counts,
+            "bin_logreg_error": rel.bin_logreg_error,
+            "n_center_related_runs": int((rel.fraction_center_error > 0).sum()),
+        },
+        "relation.csv": [
+            ["bin_lo", "bin_hi", "count", "logreg_error_rate"],
+            *zip(rel.bin_edges[:-1].tolist(), rel.bin_edges[1:].tolist(),
+                 rel.bin_counts.tolist(), rel.bin_logreg_error.tolist())],
+        "relation.svg": render_line_plot(
+            [LineSeries(centers, rel.bin_logreg_error, "#d62728",
+                        "logreg error rate", markers=True)],
+            title="Regression errors vs center-related kNN errors",
+            xlabel="fraction of kNN runs with a center-related error",
+            ylabel="logistic regression error rate", y_range=(0.0, 1.0),
+            meta=run["run_id"]),
+    })
     print(f"center-related errors observed for "
           f"{int((rel.fraction_center_error > 0).sum())} samples")
     return 0

@@ -18,9 +18,7 @@ an (n, n−1) table.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -130,8 +128,6 @@ class NeighborTable:
     limit: np.ndarray      # (n,) intp
     distances: np.ndarray  # (n, n) float64
     groups: np.ndarray | None
-    metric: str = "cosine"
-    exclude_same_group: bool = False
 
     @property
     def n(self) -> int:
@@ -241,7 +237,7 @@ def build_neighbor_table(
 
     for arr in (order, dist, limit, d):
         arr.flags.writeable = False
-    return NeighborTable(order, dist, limit, d, groups, metric, exclude_same_group)
+    return NeighborTable(order, dist, limit, d, groups)
 
 
 def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves:
@@ -262,11 +258,3 @@ def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves
     f_bio.flags.writeable = False
     f_conf.flags.writeable = False
     return FrequencyCurves(f_bio, f_conf)
-
-
-def write_frequency_csv(curves: FrequencyCurves, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["j", "f_bio", "f_conf"])
-        for j, fb, fc in zip(curves.ranks, curves.f_bio, curves.f_conf):
-            writer.writerow([int(j), repr(float(fb)), repr(float(fc))])

@@ -226,15 +226,13 @@ def trustworthiness(
     ds: EmbeddingDataset | np.ndarray,
     coords: np.ndarray,
     k: int = 12,
-    high_metric: str = "euclidean",
 ) -> float:
     """Rank-based projection fidelity in [0, 1].
 
     Penalizes points that are k-nearest neighbors in the projection but not
     in the original space, weighted by how far down the original ranking
-    they sit. Both spaces are ranked under Euclidean distance by default so
-    the score is invariant to rigid motions of the coordinates; the
-    original-space metric can be switched to cosine.
+    they sit. Both spaces are ranked under Euclidean distance, so the score
+    is invariant to rigid motions of the coordinates.
     """
     X = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -244,7 +242,7 @@ def trustworthiness(
     if not 1 <= k < n / 2:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
 
-    dh = pairwise_distances(X, metric=high_metric)
+    dh = pairwise_distances(X, metric="euclidean")
     dl = pairwise_distances(coords, metric="euclidean")
     np.fill_diagonal(dh, np.inf)
     np.fill_diagonal(dl, np.inf)

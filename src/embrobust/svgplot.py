@@ -36,11 +36,12 @@ def _esc(s: str) -> str:
             .replace('"', "&quot;"))
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five ticks at 1, 2 or 5 times a power of ten."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -96,7 +97,6 @@ class LineSeries:
     color: str
     label: str
     markers: bool = False
-    dashed: bool = False
 
 
 @dataclass
@@ -152,9 +152,8 @@ def _axes_fragment(ax: Axes) -> str:
     return "\n".join(parts)
 
 
-def _legend_fragment(entries: list[tuple[str, str]], x: float | None = None) -> str:
-    if x is None:
-        x = WIDTH - MARGIN_R - 150
+def _legend_fragment(entries: list[tuple[str, str]]) -> str:
+    x = WIDTH - MARGIN_R - 150
     parts = []
     for i, (label, color) in enumerate(entries):
         y = MARGIN_T + 14 + 16 * i
@@ -170,11 +169,10 @@ def _series_fragment(ax: Axes, s: LineSeries) -> str:
     finite = np.isfinite(np.asarray(s.y, dtype=float))
     pts = [(ax.px(float(xv)), ax.py(float(yv)))
            for xv, yv, ok in zip(s.x, s.y, finite) if ok]
-    dash = ' stroke-dasharray="6 4"' if s.dashed else ""
     if len(pts) >= 2:
         coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
         parts.append(f'<polyline class="series" data-label="{_esc(s.label)}" fill="none" '
-                     f'stroke="{s.color}" stroke-width="1.5"{dash} points="{coords}"/>')
+                     f'stroke="{s.color}" stroke-width="1.5" points="{coords}"/>')
     if s.markers or len(pts) < 2:
         for px, py in pts:
             parts.append(f'<circle class="marker" cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
