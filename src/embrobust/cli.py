@@ -159,7 +159,7 @@ def cmd_synth(args) -> int:
         "empty_cells": args.empty_cells, "dim": args.dim,
         "bio_strength": args.bio_strength, "conf_strength": args.conf_strength,
         "noise_sigma": args.noise_sigma, "seed": args.seed,
-        "embeddings_format": args.embeddings_format, "threads": args.threads,
+        "embeddings_format": args.embeddings_format,
     }, {})
     run["outputs"] = sorted([manifest.name, embeddings.name])
     _write_json(out / "synth_run.json", run)
@@ -189,10 +189,8 @@ def cmd_index(args) -> int:
         report = robustness_index(ds, nt, args.k)
         entries.append({"name": name, **report.to_dict(),
                         "r_k_display": report.r_k_display})
-    run = _make_run("index", {
-        "k": args.k, "exclude_same_group": args.exclude_same_group,
-        "threads": args.threads,
-    }, {"manifests": manifests, "embeddings": embeddings, "names": names})
+    run = _make_run("index", {"k": args.k, "exclude_same_group": args.exclude_same_group},
+                    {"manifests": manifests, "embeddings": embeddings, "names": names})
     ranked = sorted(entries, key=lambda e: e["r_k"])
     _write_reports(out, run, {
         "robustness.json": {"datasets": entries},
@@ -214,9 +212,8 @@ def cmd_curves(args) -> int:
     # frequency_curves ranks its rows itself, block by block
     nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group, depth=0)
     curves = frequency_curves(ds, nt)
-    run = _make_run("curves", {
-        "exclude_same_group": args.exclude_same_group, "threads": args.threads,
-    }, _inputs(args))
+    run = _make_run("curves", {"exclude_same_group": args.exclude_same_group},
+                    _inputs(args))
     _write_reports(out, run, {
         "frequency_curves.csv": [
             ["j", "f_bio", "f_conf"],
@@ -315,7 +312,7 @@ def cmd_eval(args) -> int:
         "k": args.k, "lambda": args.lam, "folds": args.folds, "seed": args.seed,
         "target": args.target, "logreg_max_iter": args.logreg_max_iter,
         "coords": str(args.coords) if args.coords else None,
-        "exclude_same_group": args.exclude_same_group, "threads": args.threads,
+        "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
 
     payload = {"embedding": _eval_block(
@@ -356,7 +353,7 @@ def cmd_confounders(args) -> int:
     run = _make_run("confounders", {
         "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
         "seed": args.seed, "rep_seeds": list(report.seeds),
-        "exclude_same_group": args.exclude_same_group, "threads": args.threads,
+        "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
     ks = np.array(report.k_grid, dtype=float)
     _write_reports(out, run, {
@@ -399,7 +396,7 @@ def cmd_tsne(args) -> int:
         early_exaggeration_iters=args.tsne_early_iters,
         learning_rate=args.tsne_lr, seed=args.seed)
     result = tsne(ds, cfg)
-    run = _make_run("tsne", {**cfg.to_dict(), "threads": args.threads}, _inputs(args))
+    run = _make_run("tsne", cfg.to_dict(), _inputs(args))
 
     def coloring(labels, cmap, what):
         return render_scatter(
@@ -440,7 +437,7 @@ def cmd_relation(args) -> int:
         "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
         "lambda": args.lam, "seed": args.seed, "rep_seeds": list(rel.seeds),
         "logreg_max_iter": args.logreg_max_iter,
-        "exclude_same_group": args.exclude_same_group, "threads": args.threads,
+        "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
     centers = (rel.bin_edges[:-1] + rel.bin_edges[1:]) / 2.0
     _write_reports(out, run, {
@@ -481,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=0,
-                        help="worker cap (recorded; computations are vectorized)")
 
     one_ds = argparse.ArgumentParser(add_help=False)
     one_ds.add_argument("--manifest", required=True)
