@@ -2,9 +2,10 @@
 
 Every subcommand is a thin wrapper over the library; numeric outputs are
 the library results unchanged. All randomness flows from --seed, so two
-runs with identical flags produce identical bytes. Each run writes a
-``<subcommand>_run.json`` manifest describing resolved parameters, inputs
-and outputs; JSON reports embed it and SVG roots carry its id.
+runs with identical flags produce identical bytes. Each run has a manifest
+of its resolved parameters, inputs and output files: the JSON report
+embeds it under "run", SVG roots carry its id, and a run without a JSON
+report (``synth``, ``curves``) writes it to ``<subcommand>_run.json``.
 
 Exit codes: 0 success, 2 usage/input error, 3 analysis-precondition failure.
 """
@@ -568,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     except DatasetError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an out-dir that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

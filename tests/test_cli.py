@@ -195,6 +195,52 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# run manifests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, expected", [
+    (["synth", "--n-bio", "2", "--n-conf", "2", "--per-cell", "6", "--dim", "8"],
+     ["embeddings.bin", "manifest.csv"]),
+    (["index", "--k", "5"], ["robustness.json", "robustness_index.svg"]),
+    (["curves"], ["frequency_curves.csv", "frequency_curves.svg"]),
+    (["tsne", "--perplexity", "8", "--tsne-iters", "40", "--tsne-early-iters", "10"],
+     ["tsne.json", "tsne_bio.svg", "tsne_conf.svg", "tsne_coords.csv", "tsne_kl.csv"]),
+    (["eval", "--coords", "COORDS", "--logreg-max-iter", "200"],
+     ["accuracy_embedding.svg", "accuracy_tsne2d.svg", "eval.json"]),
+    (["eval", "--logreg-max-iter", "200"], ["accuracy_embedding.svg", "eval.json"]),
+    (["eval", "--target", "conf", "--coords", "COORDS", "--logreg-max-iter", "200"],
+     ["eval.json"]),
+    (["confounders", "--k-grid", "1,2", "--reps", "1"],
+     ["confounders.csv", "confounders.json", "confounders.svg"]),
+    (["relation", "--k-grid", "1,2", "--reps", "1", "--logreg-max-iter", "200"],
+     ["relation.csv", "relation.json", "relation.svg"]),
+], ids=["synth", "index", "curves", "tsne", "eval", "eval_no_coords", "eval_conf",
+        "confounders", "relation"])
+def test_manifest_outputs_are_the_files_written(workspace, tmp_path, argv, expected):
+    """A run's ``outputs`` names every file it wrote into its out-dir but the
+    ``<subcommand>_run.json`` holding the manifest itself."""
+    sub = argv[0]
+    data = workspace / "data"
+    ds_flags = ([] if sub == "synth" else
+                ["--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin")])
+    coords = str(workspace / "out" / "tsne_coords.csv")
+    out = tmp_path / "out"
+    assert main([*(coords if a == "COORDS" else a for a in argv), *ds_flags,
+                 "--out-dir", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    if sub in ("synth", "curves"):
+        written.remove(f"{sub}_run.json")
+        run = json.loads((out / f"{sub}_run.json").read_text())
+    else:
+        reports = [name for name in written if name.endswith(".json")]
+        assert len(reports) == 1
+        run = json.loads((out / reports[0]).read_text())["run"]
+    assert run["subcommand"] == sub
+    assert run["outputs"] == written == expected
+
+
+# ---------------------------------------------------------------------------
 # SVG structure
 # ---------------------------------------------------------------------------
 
@@ -343,6 +389,24 @@ def test_tsne_too_small_exits_2(tmp_path):
 def test_synth_invalid_dim_exits_2(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path), "--n-bio", "5",
                  "--n-conf", "5", "--per-cell", "2", "--dim", "4"]) == 2
+
+
+@pytest.mark.parametrize("sub", ["curves", "synth"])
+def test_out_dir_that_cannot_be_created_exits_2(workspace, tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    data = workspace / "data"
+    if sub == "curves":  # a directory below a file: NotADirectoryError
+        argv = ["curves", "--manifest", str(data / "manifest.csv"),
+                "--embeddings", str(data / "embeddings.bin"),
+                "--out-dir", str(blocker / "sub")]
+    else:  # the out-dir is an existing file: FileExistsError
+        argv = ["synth", "--n-bio", "2", "--n-conf", "2", "--per-cell", "6",
+                "--dim", "8", "--out-dir", str(blocker)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(blocker) in err
 
 
 def test_usage_error_without_subcommand(capsys):
