@@ -37,7 +37,7 @@ def _esc(s: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About five ticks at 1, 2 or 5 times a power of ten."""
+    """Ticks at the smallest 1, 2 or 5 × 10^m step of at least a fifth of the span."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
