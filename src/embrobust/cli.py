@@ -74,13 +74,16 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _write_reports(out: Path, run: dict, reports: dict[str, dict | list | str]) -> None:
-    """Write ``{file name: body}`` into ``out`` and record the names in ``run``.
+def _write_reports(out_dir: str, run: dict, reports: dict[str, dict | list | str]) -> None:
+    """Create ``out_dir``, write ``{file name: body}`` into it and record the
+    names in ``run``.
 
     A dict is a JSON report with ``run`` embedded under "run"; a list is CSV
     rows, header first; a str is SVG text. Without a JSON report among them,
     ``run`` itself goes to ``<subcommand>_run.json``.
     """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     run["outputs"] = sorted(reports)
     for name, body in reports.items():
         if isinstance(body, dict):
@@ -92,12 +95,6 @@ def _write_reports(out: Path, run: dict, reports: dict[str, dict | list | str]) 
             (out / name).write_text(body, encoding="utf-8")
     if not any(isinstance(body, dict) for body in reports.values()):
         _write_json(out / f"{run['subcommand']}_run.json", run)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load(args) -> EmbeddingDataset:
@@ -135,7 +132,6 @@ def _rep_seeds(seed: int, reps: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     counts = np.full((args.n_bio, args.n_conf), args.per_cell, dtype=np.int64)
     for pair in (args.empty_cells.split(",") if args.empty_cells else []):
         try:
@@ -152,6 +148,8 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     ext = "bin" if args.embeddings_format == "binary" else "csv"
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.csv"
     embeddings = out / f"embeddings.{ext}"
     save_dataset(ds, manifest, embeddings, fmt=args.embeddings_format)
@@ -181,7 +179,6 @@ def cmd_index(args) -> int:
     if not names:
         names = [Path(m).parent.name or Path(m).stem for m in manifests]
 
-    out = _out_dir(args)
     entries = []
     for name, mpath, epath in zip(names, manifests, embeddings):
         ds = load_dataset(mpath, epath)
@@ -193,7 +190,7 @@ def cmd_index(args) -> int:
     run = _make_run("index", {"k": args.k, "exclude_same_group": args.exclude_same_group},
                     {"manifests": manifests, "embeddings": embeddings, "names": names})
     ranked = sorted(entries, key=lambda e: e["r_k"])
-    _write_reports(out, run, {
+    _write_reports(args.out_dir, run, {
         "robustness.json": {"datasets": entries},
         "robustness_index.svg": render_bar_chart(
             [(e["name"], e["r_k"]) for e in ranked],
@@ -209,13 +206,12 @@ def cmd_index(args) -> int:
 
 def cmd_curves(args) -> int:
     ds = _load(args)
-    out = _out_dir(args)
     # frequency_curves ranks its rows itself, block by block
     nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group, depth=0)
     curves = frequency_curves(ds, nt)
     run = _make_run("curves", {"exclude_same_group": args.exclude_same_group},
                     _inputs(args))
-    _write_reports(out, run, {
+    _write_reports(args.out_dir, run, {
         "frequency_curves.csv": [
             ["j", "f_bio", "f_conf"],
             *zip(curves.ranks.tolist(), curves.f_bio.tolist(), curves.f_conf.tolist())],
@@ -301,13 +297,12 @@ def _accuracy_scatter(block: dict, title: str, meta: str) -> str:
 
 def cmd_eval(args) -> int:
     if args.target not in ("both", "bio", "conf"):
-        raise UsageError(f"--target must be bio or conf, got {args.target!r}")
+        raise UsageError(f"--target must be bio, conf or both, got {args.target!r}")
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     targets = ("bio", "conf") if args.target == "both" else (args.target,)
     ds = _load(args)
     coords = _load_coords(args.coords, ds) if args.coords else None
-    out = _out_dir(args)
     folds = assign_folds(ds, args.folds, args.seed)
     run = _make_run("eval", {
         "k": args.k, "lambda": args.lam, "folds": args.folds, "seed": args.seed,
@@ -331,7 +326,7 @@ def cmd_eval(args) -> int:
         if coords is not None:
             reports["accuracy_tsne2d.svg"] = _accuracy_scatter(
                 payload["tsne2d"], "Probe accuracy (2D projection input)", run["run_id"])
-    _write_reports(out, run, reports)
+    _write_reports(args.out_dir, run, reports)
     emb = payload["embedding"]
     for target in targets:
         print(f"{target}: knn k={args.k} {emb['knn'][target]['accuracy_mean']:.3f}, "
@@ -344,20 +339,18 @@ def cmd_confounders(args) -> int:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     k_grid = _parse_k_grid(args.k_grid)
     ds = _load(args)
-    out = _out_dir(args)
     restricted = restrict_for_confounders(ds)
     nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group,
                               depth=knn_table_depth(max(k_grid), args.folds))
-    report = confounder_analysis(
-        restricted, n_folds=args.folds, k_grid=k_grid, reps=args.reps,
-        seeds=_rep_seeds(args.seed, args.reps), nt=nt)
+    seeds = _rep_seeds(args.seed, args.reps)
+    report = confounder_analysis(restricted, nt, seeds, n_folds=args.folds, k_grid=k_grid)
     run = _make_run("confounders", {
         "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
-        "seed": args.seed, "rep_seeds": list(report.seeds),
+        "seed": args.seed, "rep_seeds": list(seeds),
         "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
     ks = np.array(report.k_grid, dtype=float)
-    _write_reports(out, run, {
+    _write_reports(args.out_dir, run, {
         "confounders.json": {
             "restricted_bio_classes": list(report.bio_classes),
             "accuracy_curves_on_restricted_subset": True,
@@ -390,7 +383,6 @@ def cmd_tsne(args) -> int:
     ds = _load(args)
     if ds.n < 10:
         raise UsageError(f"t-SNE needs at least 10 samples, got {ds.n}")
-    out = _out_dir(args)
     cfg = TsneConfig(
         perplexity=args.perplexity, iterations=args.tsne_iters,
         early_exaggeration_factor=args.tsne_early_factor,
@@ -406,7 +398,7 @@ def cmd_tsne(args) -> int:
             legend=sorted(cmap.items()), meta=run["run_id"])
 
     t_k = min(12, (ds.n - 1) // 2)
-    _write_reports(out, run, {
+    _write_reports(args.out_dir, run, {
         "tsne_coords.csv": [["sample_id", "x", "y"],
                             *zip(ds.ids, *result.coords.T.tolist())],
         "tsne_kl.csv": [["iter", "kl"], *enumerate(result.kl_trace.tolist())],
@@ -427,21 +419,20 @@ def cmd_relation(args) -> int:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     k_grid = _parse_k_grid(args.k_grid)
     ds = _load(args)
-    out = _out_dir(args)
     nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group,
                               depth=knn_table_depth(max(k_grid), args.folds))
+    seeds = _rep_seeds(args.seed, args.reps)
     rel = center_error_relation(
-        ds, reps=args.reps, k_grid=k_grid, lam=args.lam,
-        seeds=_rep_seeds(args.seed, args.reps), n_folds=args.folds, nt=nt,
+        ds, nt, seeds, k_grid=k_grid, lam=args.lam, n_folds=args.folds,
         logreg_max_iter=args.logreg_max_iter)
     run = _make_run("relation", {
         "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
-        "lambda": args.lam, "seed": args.seed, "rep_seeds": list(rel.seeds),
+        "lambda": args.lam, "seed": args.seed, "rep_seeds": list(seeds),
         "logreg_max_iter": args.logreg_max_iter,
         "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
     centers = (rel.bin_edges[:-1] + rel.bin_edges[1:]) / 2.0
-    _write_reports(out, run, {
+    _write_reports(args.out_dir, run, {
         "relation.json": {
             "bin_edges": rel.bin_edges,
             "bin_counts": rel.bin_counts,

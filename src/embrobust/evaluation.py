@@ -14,12 +14,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataset import EmbeddingDataset, class_count_matrix
-from .neighbors import NeighborTable, build_neighbor_table
+from .neighbors import NeighborTable
 
 # 9 log-spaced neighbor counts from 1 to 250
 DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32, 63, 125, 250)
 DEFAULT_LAMBDA = 1e-3
-DEFAULT_REPS = 5
 # curvature pairs kept by the logistic-regression L-BFGS recursion
 LBFGS_HISTORY = 10
 
@@ -32,7 +31,6 @@ class AnalysisError(ValueError):
 class FoldAssignment:
     fold_of: np.ndarray  # (n,) intp in [0, n_folds)
     n_folds: int
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +42,6 @@ class EvalResult:
     """
 
     target: str                    # "bio" | "conf"
-    method: str                    # "knn" | "logreg"
-    k: int | None
     accuracy_mean: float
     accuracy_std: float
     fold_accuracy: tuple[float, ...]
@@ -65,8 +61,6 @@ class ConfounderReport:
     """
 
     k_grid: tuple[int, ...]
-    reps: int
-    seeds: tuple[int, ...]
     frac_same_center: np.ndarray
     acc_bio: np.ndarray
     acc_conf: np.ndarray
@@ -90,10 +84,6 @@ class CenterErrorRelation:
     bin_edges: np.ndarray              # (11,)
     bin_counts: np.ndarray             # (10,)
     bin_logreg_error: np.ndarray       # (10,) NaN for empty bins
-    k_grid: tuple[int, ...]
-    reps: int
-    seeds: tuple[int, ...]
-    lam: float
 
 
 def assign_folds(ds: EmbeddingDataset, n_folds: int = 5, seed: int = 0) -> FoldAssignment:
@@ -115,7 +105,7 @@ def assign_folds(ds: EmbeddingDataset, n_folds: int = 5, seed: int = 0) -> FoldA
         start = int(rng.integers(n_folds))
         fold_of[members] = (start + np.arange(len(members))) % n_folds
     fold_of.flags.writeable = False
-    return FoldAssignment(fold_of, n_folds, seed)
+    return FoldAssignment(fold_of, n_folds)
 
 
 def _target_codes(ds: EmbeddingDataset, target: str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -226,13 +216,13 @@ def _fold_accuracy(correct: np.ndarray, folds: FoldAssignment) -> tuple[float, .
     return tuple(accs)
 
 
-def _make_result(ds, target, method, k, pred_codes, classes, folds) -> EvalResult:
+def _make_result(ds, target, pred_codes, classes, folds) -> EvalResult:
     true_codes, _ = _target_codes(ds, target)
     correct = pred_codes == true_codes
     fold_acc = _fold_accuracy(correct, folds)
     correct.flags.writeable = False
     return EvalResult(
-        target=target, method=method, k=k,
+        target=target,
         accuracy_mean=float(np.mean(fold_acc)),
         accuracy_std=float(np.std(fold_acc)),
         fold_accuracy=fold_acc,
@@ -246,7 +236,7 @@ def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
     codes, classes = _target_codes(ds, target)
     nb = codes[_training_neighbor_prefix(nt, folds, k)]
     pred = _grid_vote(nb, _grid_counts(nb, len(classes), np.array([k])))[:, 0]
-    return _make_result(ds, target, "knn", k, pred, classes, folds)
+    return _make_result(ds, target, pred, classes, folds)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +388,7 @@ def logreg_predict(model: LogRegModel, X: np.ndarray) -> list[str]:
 
 
 def logreg_cv(ds: EmbeddingDataset, folds: FoldAssignment, target: str,
-              lam: float = DEFAULT_LAMBDA, max_iter: int = 5000,
-              grad_tol: float = 1e-6) -> EvalResult:
+              lam: float = DEFAULT_LAMBDA, max_iter: int = 5000) -> EvalResult:
     """Cross-validated regression probe; standardization is fit per training fold."""
     codes, classes = _target_codes(ds, target)
     labels = np.array([classes[c] for c in codes], dtype=object)
@@ -415,10 +404,9 @@ def logreg_cv(ds: EmbeddingDataset, folds: FoldAssignment, target: str,
             only = next(iter(train_classes))
             pred[val] = index[only]
             continue
-        model = logreg_fit(ds.vectors[train], labels[train], lam=lam,
-                           max_iter=max_iter, grad_tol=grad_tol)
+        model = logreg_fit(ds.vectors[train], labels[train], lam=lam, max_iter=max_iter)
         pred[val] = [index[p] for p in logreg_predict(model, ds.vectors[val])]
-    return _make_result(ds, target, "logreg", None, pred, classes, folds)
+    return _make_result(ds, target, pred, classes, folds)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +426,9 @@ def restrict_for_confounders(ds: EmbeddingDataset) -> EmbeddingDataset:
         raise AnalysisError(
             "no biological class has samples in every confounder class; "
             "restrict the dataset manually to a comparable subset")
-    keep_codes = set(np.nonzero(full_rows)[0])
-    if len(keep_codes) == len(ds.bio_classes):
+    if full_rows.all():
         return ds
-    indices = np.nonzero(np.isin(ds.bio_codes, list(keep_codes)))[0]
-    return ds.subset(indices)
-
-
-def _resolve_seeds(reps: int, seeds: Sequence[int] | None) -> tuple[int, ...]:
-    if seeds is None:
-        return tuple(range(reps))
-    seeds = tuple(int(s) for s in seeds)
-    if len(seeds) != reps:
-        raise ValueError(f"got {len(seeds)} seeds for {reps} reps")
-    return seeds
+    return ds.subset(np.nonzero(full_rows[ds.bio_codes])[0])
 
 
 def _grid_columns(k_grid: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -486,6 +463,8 @@ def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
     """Per repetition seed: fresh folds, the training-neighbor prefix of
     depth max(ks) and the bio votes at every k in ``ks`` (strictly
     ascending), all from one cumulative per-class count."""
+    if len(seeds) == 0:
+        raise AnalysisError("the kNN-run ensemble needs at least one seed")
     for seed in seeds:
         folds = assign_folds(ds, n_folds, seed)
         prefix = _training_neighbor_prefix(nt, folds, int(ks[-1]))
@@ -500,30 +479,28 @@ def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
 
 def confounder_analysis(
     ds: EmbeddingDataset,
+    nt: NeighborTable,
+    seeds: Sequence[int],
     n_folds: int = 5,
     k_grid: Sequence[int] = DEFAULT_K_GRID,
-    reps: int = DEFAULT_REPS,
-    seeds: Sequence[int] | None = None,
-    nt: NeighborTable | None = None,
 ) -> ConfounderReport:
     """Fraction of wrong-class neighbor votes that share the sample's confounder.
 
-    For each repetition the dataset is re-folded with a fresh seed; for each
-    k the kNN bio probe runs and, for every misclassified sample, the
+    ``nt`` is the neighbor table of ``ds``; any depth gives the same result,
+    and ``knn_table_depth(max(k_grid), n_folds)`` is the fast one. Each seed
+    is one repetition: the dataset is re-folded with that seed, and for
+    each k the kNN bio probe runs and, for every misclassified sample, the
     neighbors carrying the predicted (wrong) class are inspected for
     confounder agreement. Companion accuracy curves for both targets come
     from the same folds. ``ds`` should normally be the output of
     ``restrict_for_confounders``.
     """
     k_grid, ks, cols = _grid_columns(k_grid)
-    seeds = _resolve_seeds(reps, seeds)
-    if nt is None:
-        nt = build_neighbor_table(ds, depth=knn_table_depth(int(ks[-1]), n_folds))
     n_conf = len(ds.conf_classes)
 
     fractions: list[list[np.ndarray]] = [[] for _ in k_grid]
-    acc_bio = np.zeros((reps, len(k_grid)))
-    acc_conf = np.zeros((reps, len(k_grid)))
+    acc_bio = np.zeros((len(seeds), len(k_grid)))
+    acc_conf = np.zeros((len(seeds), len(k_grid)))
     for r, run in enumerate(_knn_ensemble(ds, nt, n_folds, ks, seeds)):
         pred_conf = _grid_vote(run.nb_conf, _grid_counts(run.nb_conf, n_conf, ks))
         for ki, g in enumerate(cols):
@@ -543,7 +520,7 @@ def confounder_analysis(
     frac = np.array([np.mean(np.concatenate(f)) if f else np.nan for f in fractions])
     n_mis = np.array([sum(len(a) for a in f) for f in fractions], dtype=np.int64)
     return ConfounderReport(
-        k_grid=k_grid, reps=reps, seeds=seeds,
+        k_grid=k_grid,
         frac_same_center=frac,
         acc_bio=acc_bio.mean(axis=0), acc_conf=acc_conf.mean(axis=0),
         chance_level=1.0 / n_conf,
@@ -553,26 +530,23 @@ def confounder_analysis(
 
 def center_error_relation(
     ds: EmbeddingDataset,
-    reps: int = DEFAULT_REPS,
+    nt: NeighborTable,
+    seeds: Sequence[int],
     k_grid: Sequence[int] = DEFAULT_K_GRID,
     lam: float = DEFAULT_LAMBDA,
-    seeds: Sequence[int] | None = None,
     n_folds: int = 5,
-    nt: NeighborTable | None = None,
     logreg_max_iter: int = 5000,
 ) -> CenterErrorRelation:
     """Relate per-sample center-related kNN error rates to regression errors.
 
-    The kNN-run ensemble is the full (repetition, k) product. Regression
-    errors come from the bio-target CV probe using the first repetition's
-    folds. Samples are binned into 10 equal-width bins on their
-    center-related error fraction; each bin reports its regression error
-    rate.
+    ``nt`` is the neighbor table of ``ds``, as for ``confounder_analysis``.
+    The kNN-run ensemble is the full (seed, k) product, one repetition per
+    seed. Regression errors come from the bio-target CV probe using the
+    first seed's folds. Samples are binned into 10 equal-width bins on
+    their center-related error fraction; each bin reports its regression
+    error rate.
     """
     k_grid, ks, cols = _grid_columns(k_grid)
-    seeds = _resolve_seeds(reps, seeds)
-    if nt is None:
-        nt = build_neighbor_table(ds, depth=knn_table_depth(int(ks[-1]), n_folds))
     rows = np.arange(ds.n)
 
     center_err_runs = np.zeros(ds.n, dtype=np.int64)
@@ -586,8 +560,7 @@ def center_error_relation(
         center_err = miss & (both * 2 > ks)
         center_err_runs += center_err[:, cols].sum(axis=1)
 
-    total_runs = reps * len(k_grid)
-    fraction = center_err_runs / total_runs
+    fraction = center_err_runs / (len(seeds) * len(k_grid))
 
     logreg = logreg_cv(ds, first_folds, "bio", lam=lam, max_iter=logreg_max_iter)
     logreg_wrong = ~logreg.correct
@@ -595,15 +568,11 @@ def center_error_relation(
     edges = np.linspace(0.0, 1.0, 11)
     bin_idx = np.minimum((fraction * 10).astype(np.intp), 9)
     counts = np.bincount(bin_idx, minlength=10)
-    rates = np.full(10, np.nan)
-    for i in range(10):
-        mask = bin_idx == i
-        if mask.any():
-            rates[i] = float(logreg_wrong[mask].mean())
+    wrong = np.bincount(bin_idx, weights=logreg_wrong, minlength=10)
+    rates = np.divide(wrong, counts, out=np.full(10, np.nan), where=counts > 0)
 
     for arr in (fraction, counts, rates):
         arr.flags.writeable = False
     return CenterErrorRelation(
         fraction_center_error=fraction, logreg_wrong=logreg_wrong,
-        bin_edges=edges, bin_counts=counts, bin_logreg_error=rates,
-        k_grid=k_grid, reps=reps, seeds=seeds, lam=lam)
+        bin_edges=edges, bin_counts=counts, bin_logreg_error=rates)

@@ -75,20 +75,18 @@ def robustness_index(ds: EmbeddingDataset, nt: NeighborTable, k: int = DEFAULT_K
     denominator = _same_label_counts(ds.conf_codes, nt, k)
     if denominator == 0:
         raise UndefinedIndexError(k, numerator)
-    r_min, r_max = robustness_bounds(ds, k)
+    r_min, r_max = robustness_bounds(ds)
     return RobustnessReport(
         k=k, numerator=numerator, denominator=denominator,
         r_k=numerator / denominator, r_min=r_min, r_max=r_max)
 
 
-def robustness_bounds(ds: EmbeddingDataset, k: int = DEFAULT_K) -> tuple[float, float]:
+def robustness_bounds(ds: EmbeddingDataset) -> tuple[float, float]:
     """Chance-level bounds of the index for this label composition.
 
     Under perfect biological organization the numerator is n*k while the
     denominator sits at chance, giving r_max = 1/p_conf; the converse gives
-    r_min = p_bio. Both are independent of k; k is validated only.
+    r_min = p_bio. Both are independent of k.
     """
-    if k < 1 or k > ds.n - 1:
-        raise ValueError(f"k={k} out of range for n={ds.n}")
     p_bio, p_conf = chance_levels(ds)
     return p_bio, 1.0 / p_conf

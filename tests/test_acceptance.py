@@ -17,7 +17,7 @@ import pytest
 
 import embrobust as er
 from embrobust.cli import main
-from embrobust.evaluation import DEFAULT_K_GRID, softmax_loss_grad
+from embrobust.evaluation import DEFAULT_K_GRID, knn_table_depth, softmax_loss_grad
 from embrobust.neighbors import pairwise_distances
 from embrobust.projection import joint_affinities, kl_divergence_and_grad
 
@@ -105,8 +105,9 @@ def test_criterion_03_chance_behavior_center_blind():
         assert ds.n == 1000
         restricted = er.restrict_for_confounders(ds)
         assert restricted is ds  # every cell populated
+        nt = er.build_neighbor_table(ds, depth=knn_table_depth(max(DEFAULT_K_GRID), 5))
         report = er.confounder_analysis(
-            ds, n_folds=5, k_grid=DEFAULT_K_GRID, reps=5, seeds=(0, 1, 2, 3, 4))
+            ds, nt, seeds=(0, 1, 2, 3, 4), n_folds=5, k_grid=DEFAULT_K_GRID)
         assert report.chance_level == pytest.approx(0.2)
         for ki, k in enumerate(report.k_grid):
             assert report.n_misclassified[ki] > 0, f"no errors at k={k}"
@@ -130,7 +131,7 @@ def test_criterion_04_signal_ordering():
 
         ref = er.generate(er.SynthSpec(n_bio=5, n_conf=5, per_cell=40, dim=32,
                                        noise_sigma=0.02, seed=0))
-        r_min, r_max = er.robustness_bounds(ref, 50)
+        r_min, r_max = er.robustness_bounds(ref)
         beta0 = float(np.median([r50(alpha, 0.0, s) for s in range(10)]))
         assert abs(beta0 - r_max) / r_max < 0.05
         alpha0 = float(np.median([r50(0.0, 1.0, s) for s in range(10)]))

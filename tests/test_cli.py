@@ -117,8 +117,8 @@ def test_eval_json_matches_library(workspace):
 
 def test_confounders_outputs_match_library(workspace):
     ds = _dataset(workspace)
-    report = confounder_analysis(ds, n_folds=5, k_grid=(1, 2, 4, 8), reps=2,
-                                 seeds=(0, 1))
+    report = confounder_analysis(ds, build_neighbor_table(ds), seeds=(0, 1),
+                                 n_folds=5, k_grid=(1, 2, 4, 8))
     with open(workspace / "out" / "confounders.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "frac_same_center", "acc_bio", "acc_conf"]
@@ -337,11 +337,13 @@ def test_reps_zero_usage_error(workspace, tmp_path):
                  "--reps", "0", "--out-dir", str(tmp_path)]) == 2
 
 
-def test_bad_target_usage_error(workspace, tmp_path):
+def test_bad_target_usage_error(workspace, tmp_path, capsys):
     data = workspace / "data"
     assert main(["eval", "--manifest", str(data / "manifest.csv"),
                  "--embeddings", str(data / "embeddings.bin"),
                  "--target", "nope", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --target must be bio, conf or both, got 'nope'\n"
 
 
 def test_eval_single_target(workspace, tmp_path):
@@ -366,6 +368,7 @@ def test_no_covered_class_exits_3(tmp_path):
                  "--embeddings", str(data / "embeddings.bin"),
                  "--k-grid", "1,2", "--reps", "1",
                  "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_undefined_index_exits_3(tmp_path):
@@ -375,6 +378,7 @@ def test_undefined_index_exits_3(tmp_path):
     assert main(["index", "--manifest", str(data / "manifest.csv"),
                  "--embeddings", str(data / "embeddings.bin"),
                  "--k", "3", "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_tsne_too_small_exits_2(tmp_path):

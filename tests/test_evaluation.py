@@ -12,7 +12,8 @@ from embrobust import (AnalysisError, EmbeddingDataset, LogRegModel, SynthSpec,
                        restrict_for_confounders)
 from embrobust import evaluation
 from embrobust.evaluation import (FoldAssignment, _grid_counts, _grid_vote,
-                                  _training_neighbor_prefix, softmax_loss_grad)
+                                  _training_neighbor_prefix, knn_table_depth,
+                                  softmax_loss_grad)
 
 from conftest import make_random_dataset, make_synth
 
@@ -98,12 +99,15 @@ def oracle_knn_predictions(ds, folds, target, k):
 
 def oracle_training_ranking(ds, folds, i):
     """Samples outside i's fold sorted by (distance to i, index), with the
-    distances recomputed for this query alone."""
+    distances recomputed for this query alone. A sample in i's group (a
+    non-empty group id) is skipped, as in an ``exclude_same_group`` table."""
     vi = ds.vectors[i]
     ni = float(np.sqrt(np.dot(vi, vi)))
     cand = []
     for j in range(ds.n):
         if folds.fold_of[j] == folds.fold_of[i]:
+            continue
+        if ds.group_ids[i] and ds.group_ids[i] == ds.group_ids[j]:
             continue
         vj = ds.vectors[j]
         d = 1.0 - float(np.dot(vi, vj)) / (ni * float(np.sqrt(np.dot(vj, vj))))
@@ -162,7 +166,7 @@ def test_training_prefix_ranks_deeper_when_stored_prefix_is_short():
     fold_of = np.arange(ds.n) % 3
     fold_of[full.order[0, :12]] = 0
     fold_of[0] = 0
-    folds = FoldAssignment(fold_of, 3, seed=-1)
+    folds = FoldAssignment(fold_of, 3)
     shallow = build_neighbor_table(ds, depth=10)
     assert (fold_of[shallow.order[0]] == 0).all()
     for k in (1, 5, 20):
@@ -550,8 +554,8 @@ def test_confounder_analysis_center_blind():
     ds = generate(SynthSpec(n_bio=4, n_conf=5, per_cell=25, dim=16,
                             bio_strength=1.0, conf_strength=0.0,
                             noise_sigma=1.2, seed=9))  # n = 500
-    report = confounder_analysis(ds, n_folds=5, k_grid=(1, 4, 16, 64),
-                                 reps=3, seeds=(0, 1, 2))
+    report = confounder_analysis(ds, build_neighbor_table(ds), seeds=(0, 1, 2),
+                                 n_folds=5, k_grid=(1, 4, 16, 64))
     assert report.chance_level == pytest.approx(0.2)
     for ki, k in enumerate(report.k_grid):
         assert report.n_misclassified[ki] > 30
@@ -571,8 +575,8 @@ def test_confounder_analysis_adversarial_clusters():
     ds = EmbeddingDataset.from_arrays(
         [f"s{i}" for i in range(n_conf * per_cluster)],
         np.vstack(vectors), bio, conf)
-    report = confounder_analysis(ds, n_folds=5, k_grid=(1, 2, 4, 8), reps=2,
-                                 seeds=(5, 6))
+    report = confounder_analysis(ds, build_neighbor_table(ds), seeds=(5, 6),
+                                 n_folds=5, k_grid=(1, 2, 4, 8))
     assert report.n_misclassified.min() > 0
     # all confounding neighbors come from the sample's own cluster
     np.testing.assert_allclose(report.frac_same_center, 1.0)
@@ -581,7 +585,8 @@ def test_confounder_analysis_adversarial_clusters():
 def test_confounder_analysis_undefined_when_no_errors():
     ds = make_synth(seed=5, n_bio=2, n_conf=2, per_cell=20, dim=12,
                     bio_strength=1.0, conf_strength=0.0, noise_sigma=0.01)
-    report = confounder_analysis(ds, n_folds=4, k_grid=(1, 3), reps=2)
+    report = confounder_analysis(ds, build_neighbor_table(ds), seeds=(0, 1),
+                                 n_folds=4, k_grid=(1, 3))
     assert np.isnan(report.frac_same_center).all()
     assert (report.n_misclassified == 0).all()
     assert (report.acc_bio == 1.0).all()
@@ -595,21 +600,26 @@ def test_confounder_analysis_permuted_labels_hit_chance():
     permuted = EmbeddingDataset.from_arrays(
         ds.ids, ds.vectors, ds.bio_labels,
         [ds.conf_labels[p] for p in rng.permutation(ds.n)])
-    report = confounder_analysis(permuted, n_folds=4, k_grid=(2, 8, 32), reps=3)
+    seeds = (0, 1, 2)
+    report = confounder_analysis(permuted, build_neighbor_table(permuted), seeds,
+                                 n_folds=4, k_grid=(2, 8, 32))
     p = report.chance_level
     for ki in range(len(report.k_grid)):
         n_mis = report.n_misclassified[ki]
         assert n_mis > 0
         # reps reuse the permuted labels, so the independent draw count is
         # per repetition, not the pooled total
-        sigma = np.sqrt(p * (1 - p) / (n_mis / report.reps))
+        sigma = np.sqrt(p * (1 - p) / (n_mis / len(seeds)))
         assert abs(report.frac_same_center[ki] - p) <= 3 * sigma
 
 
-def test_confounder_seed_count_mismatch():
+def test_ensemble_needs_a_seed():
     ds = make_synth(seed=0, per_cell=8)
-    with pytest.raises(ValueError, match="seeds for"):
-        confounder_analysis(ds, reps=3, seeds=(1, 2), k_grid=(1, 2))
+    nt = build_neighbor_table(ds)
+    with pytest.raises(AnalysisError, match="at least one seed"):
+        confounder_analysis(ds, nt, seeds=(), k_grid=(1, 2))
+    with pytest.raises(AnalysisError, match="at least one seed"):
+        center_error_relation(ds, nt, seeds=(), k_grid=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +629,8 @@ def test_confounder_seed_count_mismatch():
 def test_relation_all_zero_on_perfect_data():
     ds = make_synth(seed=7, n_bio=3, n_conf=3, per_cell=12, dim=16,
                     bio_strength=1.0, conf_strength=0.0, noise_sigma=0.02)
-    rel = center_error_relation(ds, reps=2, k_grid=(1, 3), lam=1e-3,
-                                seeds=(0, 1), logreg_max_iter=300)
+    rel = center_error_relation(ds, build_neighbor_table(ds), seeds=(0, 1),
+                                k_grid=(1, 3), lam=1e-3, logreg_max_iter=300)
     assert (rel.fraction_center_error == 0.0).all()
     assert not rel.logreg_wrong.any()
     assert rel.bin_counts[0] == ds.n
@@ -648,8 +658,8 @@ def test_relation_planted_confounded_subpopulation():
     ds = EmbeddingDataset.from_arrays(
         [f"s{i}" for i in range(96)], np.vstack(blocks), bio, conf)
     planted = np.arange(90, 96)
-    rel = center_error_relation(ds, reps=2, k_grid=(5, 7), lam=1e-3,
-                                seeds=(0, 1), logreg_max_iter=500)
+    rel = center_error_relation(ds, build_neighbor_table(ds), seeds=(0, 1),
+                                k_grid=(5, 7), lam=1e-3, logreg_max_iter=500)
     # every run misclassifies every planted sample with a same-center majority
     assert (rel.fraction_center_error[planted] == 1.0).all()
     assert rel.bin_counts[9] >= len(planted)
@@ -676,8 +686,8 @@ def test_relation_majority_is_strict():
     conf = ["X"] * 6
     ds = EmbeddingDataset.from_arrays(
         [f"s{i}" for i in range(6)], vectors, bio, conf)
-    rel = center_error_relation(ds, reps=1, k_grid=(2,), lam=1e-3, seeds=(0,),
-                                n_folds=2, logreg_max_iter=100)
+    rel = center_error_relation(ds, build_neighbor_table(ds), seeds=(0,),
+                                k_grid=(2,), lam=1e-3, n_folds=2, logreg_max_iter=100)
     # sample 0's two training neighbors alternate labels: one wrong-label
     # same-conf neighbor out of two is not > k/2
     assert rel.fraction_center_error.max() <= 1.0
@@ -696,6 +706,23 @@ def confounded_ds():
     return generate(SynthSpec(n_bio=3, n_conf=3, per_cell=8, dim=12,
                               bio_strength=0.6, conf_strength=1.0,
                               noise_sigma=0.7, seed=13))
+
+
+def grouped_confounded_ds():
+    """``confounded_ds`` in groups of 3 samples, every fourth sample ungrouped."""
+    ds = confounded_ds()
+    groups = ["" if i % 4 == 3 else f"g{i // 4}" for i in range(ds.n)]
+    return EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels,
+                                        ds.conf_labels, groups)
+
+
+def ensemble_cases():
+    """(dataset, neighbor tables) without and with group exclusion. The
+    tables are at the CLI's depth and at a depth of 3 that makes every row
+    rank deeper."""
+    for grouped, ds in ((False, confounded_ds()), (True, grouped_confounded_ds())):
+        yield ds, [build_neighbor_table(ds, exclude_same_group=grouped, depth=depth)
+                   for depth in (knn_table_depth(max(ENSEMBLE_GRID), 4), 3)]
 
 
 def oracle_confounders(ds, n_folds, k_grid, seeds):
@@ -742,24 +769,34 @@ def oracle_center_error_fraction(ds, n_folds, k_grid, seeds):
 
 
 def test_confounder_analysis_matches_per_query_oracle():
-    ds = confounded_ds()
-    frac, acc_bio, acc_conf, n_mis = oracle_confounders(ds, 4, ENSEMBLE_GRID, (3, 4))
-    assert n_mis.min() > 0
-    for nt in (None, build_neighbor_table(ds, depth=3)):
-        report = confounder_analysis(ds, n_folds=4, k_grid=ENSEMBLE_GRID, reps=2,
-                                     seeds=(3, 4), nt=nt)
-        assert report.frac_same_center.tobytes() == frac.tobytes()
-        assert report.acc_bio.tobytes() == acc_bio.tobytes()
-        assert report.acc_conf.tobytes() == acc_conf.tobytes()
-        assert report.n_misclassified.tolist() == n_mis.tolist()
+    fractions = []
+    for ds, tables in ensemble_cases():
+        frac, acc_bio, acc_conf, n_mis = oracle_confounders(ds, 4, ENSEMBLE_GRID, (3, 4))
+        assert n_mis.min() > 0
+        for nt in tables:
+            report = confounder_analysis(ds, nt, seeds=(3, 4), n_folds=4,
+                                         k_grid=ENSEMBLE_GRID)
+            assert report.frac_same_center.tobytes() == frac.tobytes()
+            assert report.acc_bio.tobytes() == acc_bio.tobytes()
+            assert report.acc_conf.tobytes() == acc_conf.tobytes()
+            assert report.n_misclassified.tolist() == n_mis.tolist()
+        fractions.append(frac.tobytes())
+    # group exclusion changes which neighbors vote
+    assert fractions[0] != fractions[1]
 
 
 def test_center_error_relation_matches_per_query_oracle():
-    ds = confounded_ds()
-    expected = oracle_center_error_fraction(ds, 4, ENSEMBLE_GRID, (3, 4))
-    assert 0 < (expected > 0).sum() < ds.n
-    for nt in (None, build_neighbor_table(ds, depth=3)):
-        rel = center_error_relation(ds, reps=2, k_grid=ENSEMBLE_GRID, lam=1e-2,
-                                    seeds=(3, 4), n_folds=4, nt=nt,
-                                    logreg_max_iter=200)
-        assert rel.fraction_center_error.tobytes() == expected.tobytes()
+    fractions = []
+    for ds, tables in ensemble_cases():
+        expected = oracle_center_error_fraction(ds, 4, ENSEMBLE_GRID, (3, 4))
+        assert 0 < (expected > 0).sum() < ds.n
+        bins = np.minimum((expected * 10).astype(int), 9)
+        for nt in tables:
+            rel = center_error_relation(ds, nt, seeds=(3, 4), k_grid=ENSEMBLE_GRID,
+                                        lam=1e-2, n_folds=4, logreg_max_iter=200)
+            assert rel.fraction_center_error.tobytes() == expected.tobytes()
+            rates = [rel.logreg_wrong[bins == b].mean() if (bins == b).any() else np.nan
+                     for b in range(10)]
+            assert rel.bin_logreg_error.tobytes() == np.array(rates).tobytes()
+        fractions.append(expected.tobytes())
+    assert fractions[0] != fractions[1]

@@ -64,7 +64,7 @@ def test_counts_match_brute_force_oracle():
 
 def test_bounds_balanced_five_by_five():
     ds = generate(SynthSpec(n_bio=5, n_conf=5, per_cell=80, dim=16, seed=0))
-    r_min, r_max = robustness_bounds(ds, 50)
+    r_min, r_max = robustness_bounds(ds)
     p = Fraction(5 * 400 * 399, 2000 * 1999)
     assert r_min == pytest.approx(float(p), rel=1e-14)
     assert r_max == pytest.approx(float(1 / p), rel=1e-14)
@@ -77,7 +77,7 @@ def test_bounds_sparse_table_composition():
     ds = generate(SynthSpec(n_bio=5, n_conf=5, per_cell=SPARSE_CELLS * 100,
                             dim=16, seed=0))
     assert ds.n == 2000
-    r_min, r_max = robustness_bounds(ds, 50)
+    r_min, r_max = robustness_bounds(ds)
     p = Fraction(2 * 500 * 499 + 2 * 300 * 299 + 400 * 399, 2000 * 1999)
     assert r_min == pytest.approx(float(p), rel=1e-14)
     assert r_max == pytest.approx(float(1 / p), rel=1e-14)
@@ -88,7 +88,7 @@ def test_bounds_sparse_table_composition():
 
 def test_bounds_single_conf_class():
     ds = make_random_dataset(seed=1, n=20, dim=4, n_bio=3, n_conf=1)
-    _, r_max = robustness_bounds(ds, 5)
+    _, r_max = robustness_bounds(ds)
     assert r_max == 1.0
 
 

@@ -76,7 +76,7 @@ def test_pure_bio_signal_hits_upper_bound():
                      bio_strength=1.0, conf_strength=0.0,
                      noise_sigma=0.02, seed=5)
     ds = generate(spec)
-    _, r_max = robustness_bounds(ds, 50)
+    _, r_max = robustness_bounds(ds)
     r50 = _r50(ds)
     assert abs(r50 - r_max) / r_max < 0.05
 
@@ -86,7 +86,7 @@ def test_pure_conf_signal_hits_lower_bound():
                      bio_strength=0.0, conf_strength=1.0,
                      noise_sigma=0.02, seed=5)
     ds = generate(spec)
-    r_min, _ = robustness_bounds(ds, 50)
+    r_min, _ = robustness_bounds(ds)
     r50 = _r50(ds)
     assert abs(r50 - r_min) / r_min < 0.05
 
