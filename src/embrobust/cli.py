@@ -27,8 +27,8 @@ from .dataset import (DatasetError, EmbeddingDataset, load_dataset,
                       save_dataset)
 from .evaluation import (DEFAULT_K_GRID, DEFAULT_LAMBDA, AnalysisError,
                          assign_folds, center_error_relation,
-                         confounder_analysis, knn_predict, knn_table_depth,
-                         logreg_cv, restrict_for_confounders)
+                         confounder_analysis, knn_predict, logreg_cv,
+                         restrict_for_confounders)
 from .neighbors import build_neighbor_table, frequency_curves
 from .projection import TsneConfig, trustworthiness, tsne
 from .robustness import DEFAULT_K, UndefinedIndexError, robustness_index
@@ -182,8 +182,7 @@ def cmd_index(args) -> int:
     entries = []
     for name, mpath, epath in zip(names, manifests, embeddings):
         ds = load_dataset(mpath, epath)
-        nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group,
-                                  depth=args.k)
+        nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
         report = robustness_index(ds, nt, args.k)
         entries.append({"name": name, **report.to_dict(),
                         "r_k_display": report.r_k_display})
@@ -206,8 +205,7 @@ def cmd_index(args) -> int:
 
 def cmd_curves(args) -> int:
     ds = _load(args)
-    # frequency_curves ranks its rows itself, block by block
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group, depth=0)
+    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
     curves = frequency_curves(ds, nt)
     run = _make_run("curves", {"exclude_same_group": args.exclude_same_group},
                     _inputs(args))
@@ -268,8 +266,7 @@ def _eval_block(ds, vectors, metric, targets, k, lam, folds, max_iter,
         ds.ids, vectors, ds.bio_labels, ds.conf_labels, ds.group_ids,
         require_nonzero=require_nonzero)
     nt = build_neighbor_table(probe_ds, metric=metric,
-                              exclude_same_group=exclude_same_group,
-                              depth=knn_table_depth(k, folds.n_folds))
+                              exclude_same_group=exclude_same_group)
     block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
     for target in targets:
         kr = knn_predict(probe_ds, nt, folds, target, k)
@@ -340,8 +337,7 @@ def cmd_confounders(args) -> int:
     k_grid = _parse_k_grid(args.k_grid)
     ds = _load(args)
     restricted = restrict_for_confounders(ds)
-    nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group,
-                              depth=knn_table_depth(max(k_grid), args.folds))
+    nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group)
     seeds = _rep_seeds(args.seed, args.reps)
     report = confounder_analysis(restricted, nt, seeds, n_folds=args.folds, k_grid=k_grid)
     run = _make_run("confounders", {
@@ -419,8 +415,7 @@ def cmd_relation(args) -> int:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     k_grid = _parse_k_grid(args.k_grid)
     ds = _load(args)
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group,
-                              depth=knn_table_depth(max(k_grid), args.folds))
+    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
     seeds = _rep_seeds(args.seed, args.reps)
     rel = center_error_relation(
         ds, nt, seeds, k_grid=k_grid, lam=args.lam, n_folds=args.folds,

@@ -117,8 +117,8 @@ def _target_codes(ds: EmbeddingDataset, target: str) -> tuple[np.ndarray, tuple[
 
 
 def knn_table_depth(k: int, n_folds: int) -> int:
-    """Neighbor-table depth that holds k training-fold neighbors of nearly
-    every sample.
+    """Ranking depth that holds k training-fold neighbors of nearly every
+    sample.
 
     About (n_folds-1)/n_folds of a sample's neighbors lie outside its fold,
     so k of them are expected within k*n_folds/(n_folds-1) ranks; a quarter
@@ -135,16 +135,16 @@ def _take_training(sub: np.ndarray, ok: np.ndarray, depth: int) -> np.ndarray:
     return sub[keep].reshape(-1, depth)
 
 
-def _training_neighbor_prefix(nt: NeighborTable, folds: FoldAssignment, depth: int) -> np.ndarray:
+def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
+                              folds: FoldAssignment, depth: int) -> np.ndarray:
     """(n, depth) indices of each sample's nearest training-fold neighbors.
 
     Row i holds the ``depth`` nearest neighbors of i among samples outside
-    i's own fold, in rank order. Rows whose stored ranking holds fewer are
+    i's own fold, in rank order, read from ``ranked``, the first columns of
+    every row of ``nt``'s ranking. Rows whose columns there hold fewer are
     ranked in full. Raises if any sample has too few.
     """
     n = nt.n
-    if depth < 1:
-        raise AnalysisError(f"k must be >= 1, got {depth}")
     out = np.empty((n, depth), dtype=np.intp)
 
     def usable(rows: np.ndarray, sub: np.ndarray, training: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def _training_neighbor_prefix(nt: NeighborTable, folds: FoldAssignment, depth: i
         if len(rows) == 0:
             continue
         training = folds.fold_of != f
-        sub = nt.order[rows]
+        sub = ranked[rows]
         ok = usable(rows, sub, training)
         short = ok.sum(axis=1) < depth
         if short.any():
@@ -234,7 +234,10 @@ def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
                 target: str, k: int = 3) -> EvalResult:
     """Cross-validated kNN probe: majority label of the k nearest training samples."""
     codes, classes = _target_codes(ds, target)
-    nb = codes[_training_neighbor_prefix(nt, folds, k)]
+    if k < 1:
+        raise AnalysisError(f"k must be >= 1, got {k}")
+    ranked = nt.ranked(slice(None), knn_table_depth(k, folds.n_folds))
+    nb = codes[_training_neighbor_prefix(nt, ranked, folds, k)]
     pred = _grid_vote(nb, _grid_counts(nb, len(classes), np.array([k])))[:, 0]
     return _make_result(ds, target, pred, classes, folds)
 
@@ -317,8 +320,11 @@ def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
     the objective never increases. ``converged`` means max |grad| fell
     below ``grad_tol``; a line search that finds no descent step stops the
     fit unconverged. The zero-initialized full-batch optimizer is
-    deterministic.
+    deterministic. Raises ``ValueError`` unless ``lam`` is a finite number
+    >= 0: a negative penalty leaves the objective unbounded below.
     """
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam}")
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise AnalysisError("non-finite feature value")
@@ -462,12 +468,15 @@ def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
                   ks: np.ndarray, seeds: Sequence[int]) -> Iterator[_KnnRun]:
     """Per repetition seed: fresh folds, the training-neighbor prefix of
     depth max(ks) and the bio votes at every k in ``ks`` (strictly
-    ascending), all from one cumulative per-class count."""
+    ascending), all from one cumulative per-class count. The rows are ranked
+    once, for every seed."""
     if len(seeds) == 0:
         raise AnalysisError("the kNN-run ensemble needs at least one seed")
+    max_k = int(ks[-1])
+    ranked = nt.ranked(slice(None), knn_table_depth(max_k, n_folds))
     for seed in seeds:
         folds = assign_folds(ds, n_folds, seed)
-        prefix = _training_neighbor_prefix(nt, folds, int(ks[-1]))
+        prefix = _training_neighbor_prefix(nt, ranked, folds, max_k)
         nb_bio = ds.bio_codes[prefix]
         nb_conf = ds.conf_codes[prefix]
         n_bio = len(ds.bio_classes)
@@ -486,14 +495,12 @@ def confounder_analysis(
 ) -> ConfounderReport:
     """Fraction of wrong-class neighbor votes that share the sample's confounder.
 
-    ``nt`` is the neighbor table of ``ds``; any depth gives the same result,
-    and ``knn_table_depth(max(k_grid), n_folds)`` is the fast one. Each seed
-    is one repetition: the dataset is re-folded with that seed, and for
-    each k the kNN bio probe runs and, for every misclassified sample, the
-    neighbors carrying the predicted (wrong) class are inspected for
-    confounder agreement. Companion accuracy curves for both targets come
-    from the same folds. ``ds`` should normally be the output of
-    ``restrict_for_confounders``.
+    ``nt`` is the neighbor table of ``ds``. Each seed is one repetition: the
+    dataset is re-folded with that seed, and for each k the kNN bio probe
+    runs and, for every misclassified sample, the neighbors carrying the
+    predicted (wrong) class are inspected for confounder agreement.
+    Companion accuracy curves for both targets come from the same folds.
+    ``ds`` should normally be the output of ``restrict_for_confounders``.
     """
     k_grid, ks, cols = _grid_columns(k_grid)
     n_conf = len(ds.conf_classes)

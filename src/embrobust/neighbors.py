@@ -5,15 +5,15 @@ matrix, distance ties broken by ascending sample index. At desk scale (n
 around a few thousand) brute force is affordable, and the downstream
 statistics are defined on exact neighbor sets, not approximations.
 
-One ranking engine serves every analysis. It ranks rows in blocks, only as
-deep as the caller reads: the robustness index reads k columns, the
-cross-validated probes a fold-dependent margin above their largest k. A
-``NeighborTable`` keeps the distance matrix it was ranked from, so rows
-whose stored prefix is too shallow are ranked deeper from the same bits.
-Memory per call: the n×n float64 distance matrix, the (n, depth) order
-and distances, and block temporaries of about ``_BLOCK_ELEMS`` elements
-(8 MB each); ``frequency_curves`` streams full-depth blocks and never holds
-an (n, n−1) table.
+One ranking engine serves every analysis. A ``NeighborTable`` ranks
+nothing up front: it keeps the distance matrix, and each analysis ranks all
+its rows once, in blocks, only as deep as it reads: the robustness index k
+columns, the cross-validated probes a fold-dependent margin above their
+largest k. Rows that need more are ranked deeper from the same bits.
+Memory: the n×n float64 distance matrix, held by the table, plus during an
+analysis call the (n, depth) ranks and block temporaries of about
+``_BLOCK_ELEMS`` elements (8 MB each); ``frequency_curves`` streams
+full-depth blocks and never holds an (n, n−1) table.
 """
 
 from __future__ import annotations
@@ -108,35 +108,26 @@ def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
 
 @dataclass(frozen=True, eq=False)
 class NeighborTable:
-    """Per-sample ranking of the other samples by ascending distance, to a depth.
+    """Per-sample ranking of the other samples by ascending distance.
 
-    ``order[i, j]`` is the index of the (j+1)-th nearest neighbor of sample
-    i (self excluded), for j < ``depth``; ``dist[i, j]`` the corresponding
-    distance. Distance ties are broken by ascending sample index.
+    ``ranked(rows, depth)[i, j]`` is the index of the (j+1)-th nearest
+    neighbor (self excluded) of the i-th given row, distance ties broken by
+    ascending sample index. Nothing is ranked up front: every call ranks
+    its rows from ``distances``, the n×n matrix (+inf on the diagonal),
+    with ``groups`` the group codes used for exclusion (None without it).
 
     ``limit[i]`` counts the usable entries of row i's full ranking. Without
     group exclusion this is n-1 everywhere; with it, same-group neighbors
     are moved behind the usable prefix and ``limit`` shrinks accordingly.
-
-    ``distances`` is the n×n matrix the rows were ranked from (+inf on the
-    diagonal) and ``groups`` the group codes used for exclusion (None
-    without it); ``ranked`` ranks rows deeper than ``depth`` from them.
     """
 
-    order: np.ndarray      # (n, depth) intp
-    dist: np.ndarray       # (n, depth) float64
     limit: np.ndarray      # (n,) intp
     distances: np.ndarray  # (n, n) float64
     groups: np.ndarray | None
 
     @property
     def n(self) -> int:
-        return self.order.shape[0]
-
-    @property
-    def depth(self) -> int:
-        """Number of ranked columns stored per row."""
-        return self.order.shape[1]
+        return self.distances.shape[0]
 
     @property
     def max_rank(self) -> int:
@@ -144,14 +135,9 @@ class NeighborTable:
         return int(self.limit.min())
 
     def ranked(self, rows, depth: int) -> np.ndarray:
-        """The first ``depth`` columns of the given rows' rankings.
-
-        Read from ``order`` when it is deep enough, ranked from
-        ``distances`` otherwise; both give the same columns.
-        """
-        if depth <= self.depth:
-            return self.order[rows, :depth]
-        return _rank(self.distances, np.arange(self.n)[rows], depth, self.groups)
+        """The first ``depth`` columns (at most n-1) of the given rows' rankings."""
+        return _rank(self.distances, np.arange(self.n)[rows],
+                     min(depth, self.n - 1), self.groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,34 +196,27 @@ def build_neighbor_table(
     ds: EmbeddingDataset,
     metric: str = "cosine",
     exclude_same_group: bool = False,
-    depth: int | None = None,
 ) -> NeighborTable:
-    """Exact ranking of every sample's cross-distances, ``depth`` columns deep.
+    """The table that ranks every sample's cross-distances exactly on demand.
 
-    ``depth`` defaults to the full n-1 and is capped there. With
-    ``exclude_same_group``, neighbors sharing a non-empty group id with the
-    query sample are stably moved behind the usable prefix of each row; the
-    full row is a permutation of the other indices, partitioned into
-    allowed-then-excluded, and the table holds its first ``depth`` columns.
+    With ``exclude_same_group``, neighbors sharing a non-empty group id with
+    the query sample are stably moved behind the usable prefix of each row;
+    the full row is a permutation of the other indices, partitioned into
+    allowed-then-excluded.
     """
     n = ds.n
-    depth = n - 1 if depth is None else min(depth, n - 1)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     d = pairwise_distances(ds.vectors, metric=metric)
     np.fill_diagonal(d, np.inf)
     groups = _group_codes(ds.group_ids) if exclude_same_group else None
-    order = _rank(d, np.arange(n), depth, groups)
-    dist = np.take_along_axis(d, order, axis=1)
     limit = np.full(n, n - 1, dtype=np.intp)
     if groups is not None:
         grouped = groups >= 0
         sizes = np.bincount(groups[grouped])
         limit[grouped] -= sizes[groups[grouped]] - 1
 
-    for arr in (order, dist, limit, d):
+    for arr in (limit, d):
         arr.flags.writeable = False
-    return NeighborTable(order, dist, limit, d, groups)
+    return NeighborTable(limit, d, groups)
 
 
 def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves:

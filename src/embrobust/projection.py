@@ -14,7 +14,7 @@ is allocated inside the loop.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,17 +38,7 @@ class TsneConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "perplexity": self.perplexity,
-            "iterations": self.iterations,
-            "early_exaggeration_factor": self.early_exaggeration_factor,
-            "early_exaggeration_iters": self.early_exaggeration_iters,
-            "learning_rate": self.learning_rate,
-            "momentum_start": self.momentum_start,
-            "momentum_final": self.momentum_final,
-            "momentum_switch_iter": self.momentum_switch_iter,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +171,17 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
 
     Deterministic given the seed: initial coordinates are a small isotropic
     Gaussian cloud from a seeded generator. The kl_trace always records the
-    divergence against the true (non-exaggerated) affinities.
+    divergence against the true (non-exaggerated) affinities. Raises
+    ``ValueError`` for a perplexity that is not a finite number > 0, fewer
+    than one iteration or a negative early-exaggeration length.
     """
+    if not (np.isfinite(cfg.perplexity) and cfg.perplexity > 0):
+        raise ValueError(f"perplexity must be a finite number > 0, got {cfg.perplexity}")
+    if cfg.iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {cfg.iterations}")
+    if cfg.early_exaggeration_iters < 0:
+        raise ValueError(
+            f"early exaggeration iterations must be >= 0, got {cfg.early_exaggeration_iters}")
     vectors = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds, dtype=np.float64)
     n = vectors.shape[0]
     if n < 10:

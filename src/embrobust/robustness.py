@@ -9,7 +9,7 @@ only on the label composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,18 +45,10 @@ class RobustnessReport:
         return f"{self.r_k:.2g}"
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "r_k": self.r_k,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-        }
+        return asdict(self)
 
 
-def _same_label_counts(codes: np.ndarray, nt: NeighborTable, k: int) -> int:
-    neigh = nt.ranked(slice(None), k)
+def _same_label_count(codes: np.ndarray, neigh: np.ndarray) -> int:
     return int((codes[neigh] == codes[:, None]).sum())
 
 
@@ -71,8 +63,9 @@ def robustness_index(ds: EmbeddingDataset, nt: NeighborTable, k: int = DEFAULT_K
         raise ValueError(f"k must be >= 1, got {k}")
     if k > nt.max_rank:
         raise ValueError(f"k={k} exceeds usable neighbor depth {nt.max_rank}")
-    numerator = _same_label_counts(ds.bio_codes, nt, k)
-    denominator = _same_label_counts(ds.conf_codes, nt, k)
+    neigh = nt.ranked(slice(None), k)
+    numerator = _same_label_count(ds.bio_codes, neigh)
+    denominator = _same_label_count(ds.conf_codes, neigh)
     if denominator == 0:
         raise UndefinedIndexError(k, numerator)
     r_min, r_max = robustness_bounds(ds)

@@ -17,7 +17,7 @@ import pytest
 
 import embrobust as er
 from embrobust.cli import main
-from embrobust.evaluation import DEFAULT_K_GRID, knn_table_depth, softmax_loss_grad
+from embrobust.evaluation import DEFAULT_K_GRID, softmax_loss_grad
 from embrobust.neighbors import pairwise_distances
 from embrobust.projection import joint_affinities, kl_divergence_and_grad
 
@@ -105,7 +105,7 @@ def test_criterion_03_chance_behavior_center_blind():
         assert ds.n == 1000
         restricted = er.restrict_for_confounders(ds)
         assert restricted is ds  # every cell populated
-        nt = er.build_neighbor_table(ds, depth=knn_table_depth(max(DEFAULT_K_GRID), 5))
+        nt = er.build_neighbor_table(ds)
         report = er.confounder_analysis(
             ds, nt, seeds=(0, 1, 2, 3, 4), n_folds=5, k_grid=DEFAULT_K_GRID)
         assert report.chance_level == pytest.approx(0.2)

@@ -390,6 +390,39 @@ def test_tsne_too_small_exits_2(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--perplexity", "5", "--tsne-iters", "0", "--tsne-early-iters", "0"],
+     "iterations must be >= 1, got 0"),
+    (["--perplexity", "0"], "perplexity must be a finite number > 0, got 0.0"),
+    (["--perplexity", "-3"], "perplexity must be a finite number > 0, got -3.0"),
+    (["--perplexity", "nan"], "perplexity must be a finite number > 0, got nan"),
+    (["--tsne-early-iters", "-1"], "early exaggeration iterations must be >= 0, got -1"),
+], ids=["no_iterations", "perplexity_zero", "perplexity_negative", "perplexity_nan",
+        "negative_early_iters"])
+def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
+    data = workspace / "data"
+    out = tmp_path / "out"
+    assert main(["tsne", "--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin"),
+                 "--out-dir", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["-1", "nan"])
+@pytest.mark.parametrize("argv", [["eval"], ["relation", "--k-grid", "1,2", "--reps", "1"]],
+                         ids=["eval", "relation"])
+def test_bad_lambda_exits_2(workspace, tmp_path, capsys, argv, lam):
+    data = workspace / "data"
+    out = tmp_path / "out"
+    assert main([*argv, "--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin"),
+                 "--lambda", lam, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: lambda must be a finite number >= 0, got {float(lam)}\n")
+    assert not out.exists()
+
+
 def test_synth_invalid_dim_exits_2(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path), "--n-bio", "5",
                  "--n-conf", "5", "--per-cell", "2", "--dim", "4"]) == 2

@@ -9,8 +9,8 @@ from embrobust import (AnalysisError, EmbeddingDataset, LogRegModel, SynthSpec,
                        assign_folds, build_neighbor_table,
                        center_error_relation, confounder_analysis, generate,
                        knn_predict, logreg_cv, logreg_fit, logreg_predict,
-                       restrict_for_confounders)
-from embrobust import evaluation
+                       restrict_for_confounders, robustness_index)
+from embrobust import evaluation, neighbors
 from embrobust.evaluation import (FoldAssignment, _grid_counts, _grid_vote,
                                   _training_neighbor_prefix, knn_table_depth,
                                   softmax_loss_grad)
@@ -158,27 +158,36 @@ def test_grid_vote_equals_per_k_vote():
             np.testing.assert_array_equal(grid[:, g], reference_vote(codes, k, n_classes))
 
 
-def test_training_prefix_ranks_deeper_when_stored_prefix_is_short():
+def rank_depth(monkeypatch, depth: int) -> None:
+    """Make the kNN analyses rank ``depth`` columns, whatever their k."""
+    monkeypatch.setattr(evaluation, "knn_table_depth", lambda k, n_folds: depth)
+
+
+def test_training_prefix_ranks_deeper_when_stored_prefix_is_short(monkeypatch):
     ds = make_random_dataset(seed=41, n=60, dim=5)
-    full = build_neighbor_table(ds)
+    nt = build_neighbor_table(ds)
+    full = nt.ranked(slice(None), ds.n - 1)
     # sample 0 and its 12 nearest neighbors share fold 0, so a 10-deep
-    # table holds no training neighbor of sample 0
+    # ranking holds no training neighbor of sample 0
     fold_of = np.arange(ds.n) % 3
-    fold_of[full.order[0, :12]] = 0
+    fold_of[full[0, :12]] = 0
     fold_of[0] = 0
     folds = FoldAssignment(fold_of, 3)
-    shallow = build_neighbor_table(ds, depth=10)
-    assert (fold_of[shallow.order[0]] == 0).all()
+    shallow = nt.ranked(slice(None), 10)
+    assert (fold_of[shallow[0]] == 0).all()
     for k in (1, 5, 20):
         expected = [oracle_training_ranking(ds, folds, i)[:k] for i in range(ds.n)]
-        for nt in (shallow, full):
-            assert _training_neighbor_prefix(nt, folds, k).tolist() == expected
-        assert (knn_predict(ds, shallow, folds, "bio", k).predictions
-                == knn_predict(ds, full, folds, "bio", k).predictions)
+        for ranked in (shallow, full):
+            assert _training_neighbor_prefix(nt, ranked, folds, k).tolist() == expected
+        predictions = []
+        for ranked in (shallow, full):
+            rank_depth(monkeypatch, ranked.shape[1])
+            predictions.append(knn_predict(ds, nt, folds, "bio", k).predictions)
+        assert predictions[0] == predictions[1]
     messages = []
-    for nt in (shallow, full):
+    for ranked in (shallow, full):
         with pytest.raises(AnalysisError, match="exceeds training-fold size") as exc:
-            _training_neighbor_prefix(nt, folds, 40)
+            _training_neighbor_prefix(nt, ranked, folds, 40)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -236,9 +245,10 @@ def test_knn_k1_accuracy_equals_nearest_training_agreement(small_random_ds):
     folds = assign_folds(ds, 4, seed=1)
     res = knn_predict(ds, nt, folds, "bio", 1)
     # direct recount: nearest neighbor outside the sample's own fold
+    order = nt.ranked(slice(None), ds.n - 1)
     hits = []
     for i in range(ds.n):
-        for j in nt.order[i]:
+        for j in order[i]:
             if folds.fold_of[j] != folds.fold_of[i]:
                 hits.append(ds.bio_labels[j] == ds.bio_labels[i])
                 break
@@ -716,13 +726,20 @@ def grouped_confounded_ds():
                                         ds.conf_labels, groups)
 
 
-def ensemble_cases():
-    """(dataset, neighbor tables) without and with group exclusion. The
-    tables are at the CLI's depth and at a depth of 3 that makes every row
-    rank deeper."""
+def ensemble_cases(monkeypatch):
+    """(dataset, its neighbor table twice) without and with group exclusion.
+    The analyses rank at their own depth with the first copy and 3 columns
+    deep with the second, which makes every row rank deeper."""
     for grouped, ds in ((False, confounded_ds()), (True, grouped_confounded_ds())):
-        yield ds, [build_neighbor_table(ds, exclude_same_group=grouped, depth=depth)
-                   for depth in (knn_table_depth(max(ENSEMBLE_GRID), 4), 3)]
+        yield ds, at_own_depth_then_shallow(
+            build_neighbor_table(ds, exclude_same_group=grouped), monkeypatch)
+
+
+def at_own_depth_then_shallow(nt, monkeypatch):
+    yield nt
+    rank_depth(monkeypatch, 3)
+    yield nt
+    monkeypatch.undo()
 
 
 def oracle_confounders(ds, n_folds, k_grid, seeds):
@@ -768,9 +785,9 @@ def oracle_center_error_fraction(ds, n_folds, k_grid, seeds):
     return runs / (len(seeds) * len(k_grid))
 
 
-def test_confounder_analysis_matches_per_query_oracle():
+def test_confounder_analysis_matches_per_query_oracle(monkeypatch):
     fractions = []
-    for ds, tables in ensemble_cases():
+    for ds, tables in ensemble_cases(monkeypatch):
         frac, acc_bio, acc_conf, n_mis = oracle_confounders(ds, 4, ENSEMBLE_GRID, (3, 4))
         assert n_mis.min() > 0
         for nt in tables:
@@ -785,9 +802,9 @@ def test_confounder_analysis_matches_per_query_oracle():
     assert fractions[0] != fractions[1]
 
 
-def test_center_error_relation_matches_per_query_oracle():
+def test_center_error_relation_matches_per_query_oracle(monkeypatch):
     fractions = []
-    for ds, tables in ensemble_cases():
+    for ds, tables in ensemble_cases(monkeypatch):
         expected = oracle_center_error_fraction(ds, 4, ENSEMBLE_GRID, (3, 4))
         assert 0 < (expected > 0).sum() < ds.n
         bins = np.minimum((expected * 10).astype(int), 9)
@@ -800,3 +817,41 @@ def test_center_error_relation_matches_per_query_oracle():
             assert rel.bin_logreg_error.tobytes() == np.array(rates).tobytes()
         fractions.append(expected.tobytes())
     assert fractions[0] != fractions[1]
+
+
+def count_rankings(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, depth) of every ``neighbors._rank`` call from now on."""
+    calls = []
+    rank = neighbors._rank
+
+    def counted(d, rows, depth, groups):
+        calls.append((len(rows), depth))
+        return rank(d, rows, depth, groups)
+
+    monkeypatch.setattr(neighbors, "_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["plain", "grouped"])
+@pytest.mark.parametrize("analysis", ["index", "knn", "confounders", "relation"])
+def test_each_analysis_ranks_its_rows_once(monkeypatch, grouped, analysis):
+    # with 4 folds of 18 out of 72 samples, 35 ranks hold at least 18
+    # training neighbors of every sample, so no row has to rank deeper
+    ds = grouped_confounded_ds() if grouped else confounded_ds()
+    nt = build_neighbor_table(ds, exclude_same_group=grouped)
+    seeds, grid = (3, 4, 5), ENSEMBLE_GRID
+    runs = {
+        "index": (lambda: robustness_index(ds, nt, 10), 10),
+        "knn": (lambda: knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 16),
+                knn_table_depth(16, 4)),
+        "confounders": (lambda: confounder_analysis(ds, nt, seeds, n_folds=4, k_grid=grid),
+                        knn_table_depth(max(grid), 4)),
+        "relation": (lambda: center_error_relation(ds, nt, seeds, k_grid=grid, lam=1e-2,
+                                                   n_folds=4, logreg_max_iter=200),
+                     knn_table_depth(max(grid), 4)),
+    }
+    run, depth = runs[analysis]
+    assert depth == (10 if analysis == "index" else 35)
+    calls = count_rankings(monkeypatch)
+    run()
+    assert calls == [(ds.n, depth)]

@@ -33,6 +33,13 @@ def oracle_table(vectors: np.ndarray):
     return order, dist
 
 
+def table_arrays(nt, depth=None):
+    """(order, dist): every row of ``nt`` ranked ``depth`` columns deep (all
+    n-1 by default), and the distances at those ranks."""
+    order = nt.ranked(slice(None), nt.n - 1 if depth is None else depth)
+    return order, np.take_along_axis(nt.distances, order, axis=1)
+
+
 def test_cosine_distance_trivial_cases():
     assert cosine_distance(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 0.0
     assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
@@ -47,56 +54,57 @@ def test_three_points_on_known_angles():
     angles = {"A": 0.0, "B": np.radians(10.0), "C": np.radians(90.0)}
     vectors = np.array([[np.cos(a), np.sin(a)] for a in angles.values()])
     ds = EmbeddingDataset.from_arrays(list(angles), vectors, ["t"] * 3, ["c"] * 3)
-    nt = build_neighbor_table(ds)
-    assert nt.order[0].tolist() == [1, 2]  # A: B then C
-    assert nt.order[2].tolist() == [1, 0]  # C: B (80 deg) then A (90 deg)
+    order, _ = table_arrays(build_neighbor_table(ds))
+    assert order[0].tolist() == [1, 2]  # A: B then C
+    assert order[2].tolist() == [1, 0]  # C: B (80 deg) then A (90 deg)
 
 
 def test_matches_independent_recomputation():
     ds = make_random_dataset(seed=21, n=50, dim=8)
-    nt = build_neighbor_table(ds)
+    nt_order, nt_dist = table_arrays(build_neighbor_table(ds))
     order, dist = oracle_table(ds.vectors)
-    np.testing.assert_array_equal(nt.order, order)
-    np.testing.assert_array_equal(nt.dist, dist)
+    np.testing.assert_array_equal(nt_order, order)
+    np.testing.assert_array_equal(nt_dist, dist)
 
 
 def test_matches_oracle_at_larger_sizes():
     for seed, n, d in [(1, 120, 5), (2, 200, 16)]:
         ds = make_random_dataset(seed=seed, n=n, dim=d)
-        nt = build_neighbor_table(ds)
+        nt_order, nt_dist = table_arrays(build_neighbor_table(ds))
         order, dist = oracle_table(ds.vectors)
-        np.testing.assert_array_equal(nt.order, order)
-        np.testing.assert_array_equal(nt.dist, dist)
+        np.testing.assert_array_equal(nt_order, order)
+        np.testing.assert_array_equal(nt_dist, dist)
 
 
 def test_duplicate_vectors_tie_break_by_index():
     vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
     ds = EmbeddingDataset.from_arrays(list("abcd"), vectors, ["t"] * 4, ["c"] * 4)
-    nt = build_neighbor_table(ds)
+    order, _ = table_arrays(build_neighbor_table(ds))
     # sample 3 is at distance 0 from samples 0 and 2: lower index first
-    assert nt.order[3].tolist() == [0, 2, 1]
-    assert nt.order[0].tolist() == [2, 3, 1]
+    assert order[3].tolist() == [0, 2, 1]
+    assert order[0].tolist() == [2, 3, 1]
 
 
 def test_rows_are_permutations_and_sorted(small_random_ds):
     nt = build_neighbor_table(small_random_ds)
+    order, dist = table_arrays(nt)
     n = small_random_ds.n
     for i in range(n):
-        assert sorted(nt.order[i].tolist()) == [j for j in range(n) if j != i]
-        assert (np.diff(nt.dist[i]) >= 0).all()
-    assert nt.dist.min() >= 0.0 and nt.dist.max() <= 2.0
+        assert sorted(order[i].tolist()) == [j for j in range(n) if j != i]
+        assert (np.diff(dist[i]) >= 0).all()
+    assert dist.min() >= 0.0 and dist.max() <= 2.0
     assert nt.max_rank == n - 1
 
 
 def test_power_of_two_scaling_bit_identical(small_random_ds):
     ds = small_random_ds
-    nt = build_neighbor_table(ds)
+    order, dist = table_arrays(build_neighbor_table(ds))
     for scale in (0.5, 2.0, 1024.0):
         scaled = EmbeddingDataset.from_arrays(
             ds.ids, ds.vectors * scale, ds.bio_labels, ds.conf_labels)
-        nt2 = build_neighbor_table(scaled)
-        np.testing.assert_array_equal(nt2.order, nt.order)
-        np.testing.assert_array_equal(nt2.dist, nt.dist)
+        order2, dist2 = table_arrays(build_neighbor_table(scaled))
+        np.testing.assert_array_equal(order2, order)
+        np.testing.assert_array_equal(dist2, dist)
 
 
 @settings(max_examples=25, deadline=None)
@@ -104,31 +112,31 @@ def test_power_of_two_scaling_bit_identical(small_random_ds):
                        allow_nan=False, allow_infinity=False))
 def test_positive_scaling_preserves_ranking(scale):
     ds = make_random_dataset(seed=77, n=25, dim=6)
-    nt = build_neighbor_table(ds)
+    order, dist = table_arrays(build_neighbor_table(ds))
     scaled = EmbeddingDataset.from_arrays(
         ds.ids, ds.vectors * scale, ds.bio_labels, ds.conf_labels)
-    nt2 = build_neighbor_table(scaled)
-    np.testing.assert_array_equal(nt2.order, nt.order)
-    np.testing.assert_allclose(nt2.dist, nt.dist, atol=1e-12)
+    order2, dist2 = table_arrays(build_neighbor_table(scaled))
+    np.testing.assert_array_equal(order2, order)
+    np.testing.assert_allclose(dist2, dist, atol=1e-12)
 
 
 def test_table_distances_match_scalar_function(small_random_ds):
     ds = small_random_ds
-    nt = build_neighbor_table(ds)
+    order, dist = table_arrays(build_neighbor_table(ds))
     for i in (0, 7, 23):
         for j_rank in (0, 5, 30):
-            j = nt.order[i, j_rank]
+            j = order[i, j_rank]
             expected = cosine_distance(ds.vectors[i], ds.vectors[j])
-            assert nt.dist[i, j_rank] == pytest.approx(expected, abs=1e-12)
+            assert dist[i, j_rank] == pytest.approx(expected, abs=1e-12)
 
 
 def test_euclidean_metric_option():
     vectors = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [1.0, 0.0]])
     ds = EmbeddingDataset.from_arrays(
         list("abcd"), vectors, ["t"] * 4, ["c"] * 4, require_nonzero=False)
-    nt = build_neighbor_table(ds, metric="euclidean")
-    assert nt.order[0].tolist() == [3, 1, 2]
-    assert nt.dist[0].tolist() == [1.0, 3.0, 4.0]
+    order, dist = table_arrays(build_neighbor_table(ds, metric="euclidean"))
+    assert order[0].tolist() == [3, 1, 2]
+    assert dist[0].tolist() == [1.0, 3.0, 4.0]
 
 
 def test_frequency_curve_single_bio_class():
@@ -150,8 +158,9 @@ def test_frequency_curve_tight_conf_clusters():
     assert (curves.f_conf[:19] == 1.0).all()
     assert (curves.f_conf[19:] == 0.0).all()
     # independent recount of a few ranks straight from the table
+    order, _ = table_arrays(nt)
     for j in (0, 10, 19, 40):
-        same = sum(ds.conf_labels[nt.order[i, j]] == ds.conf_labels[i]
+        same = sum(ds.conf_labels[order[i, j]] == ds.conf_labels[i]
                    for i in range(ds.n))
         assert curves.f_conf[j] == pytest.approx(same / ds.n, abs=1e-12)
 
@@ -173,8 +182,9 @@ def test_exclude_same_group():
     ds = EmbeddingDataset.from_arrays(
         [f"s{i}" for i in range(12)], vectors, ["t"] * 12, ["c"] * 12, groups)
     nt = build_neighbor_table(ds, exclude_same_group=True)
+    order, dist = table_arrays(nt)
     for i in range(12):
-        row = nt.order[i].tolist()
+        row = order[i].tolist()
         assert sorted(row) == [j for j in range(12) if j != i]
         allowed = row[: nt.limit[i]]
         if groups[i]:
@@ -183,8 +193,8 @@ def test_exclude_same_group():
         else:
             assert nt.limit[i] == 11  # ungrouped samples exclude nothing
         # each partition stays distance-sorted
-        assert (np.diff(nt.dist[i][: nt.limit[i]]) >= 0).all()
-        assert (np.diff(nt.dist[i][nt.limit[i]:]) >= 0).all()
+        assert (np.diff(dist[i][: nt.limit[i]]) >= 0).all()
+        assert (np.diff(dist[i][nt.limit[i]:]) >= 0).all()
     assert nt.max_rank == 8
 
 
@@ -237,13 +247,14 @@ def test_truncated_tables_equal_oracle_prefix(small_blocks):
     for ds in cases:
         order, dist = oracle_table(ds.vectors)
         n = ds.n
+        nt = build_neighbor_table(ds)
         # both kernel paths: partition below n/8, full argsort from there
         for depth in (0, 1, 2, 5, n // 8 - 1, n // 8, n // 2, n - 2, n - 1):
-            nt = build_neighbor_table(ds, depth=depth)
-            assert nt.depth == depth
-            np.testing.assert_array_equal(nt.order, order[:, :depth])
-            np.testing.assert_array_equal(nt.dist, dist[:, :depth])
-        assert build_neighbor_table(ds, depth=10 * n).depth == n - 1
+            nt_order, nt_dist = table_arrays(nt, depth)
+            assert nt_order.shape == (n, depth)
+            np.testing.assert_array_equal(nt_order, order[:, :depth])
+            np.testing.assert_array_equal(nt_dist, dist[:, :depth])
+        assert table_arrays(nt, 10 * n)[0].shape == (n, n - 1)
     # the duplicates really do tie across the depth boundaries tried above
     dist = oracle_table(cases[1].vectors)[1]
     for depth in (2, 5, 14):
@@ -265,18 +276,18 @@ def test_tie_only_across_the_depth_boundary(small_blocks):
         assert order[i, r + 1] == 77 and dist[i, r] == dist[i, r + 1]
         depths.add(r + 1)
     assert min(depths) < 15 <= max(depths)  # both kernel paths
+    nt = build_neighbor_table(ds)
     for depth in sorted(depths):
-        np.testing.assert_array_equal(build_neighbor_table(ds, depth=depth).order,
-                                      order[:, :depth])
+        np.testing.assert_array_equal(nt.ranked(slice(None), depth), order[:, :depth])
 
 
 def test_ranked_deeper_equals_table_prefix(small_blocks):
     ds = duplicated_dataset(seed=7, n_distinct=12, copies=6, dim=3)
-    full = build_neighbor_table(ds)
-    shallow = build_neighbor_table(ds, depth=3)
+    nt = build_neighbor_table(ds)
+    full, _ = table_arrays(nt)
     rows = np.array([0, 5, 17, 40, 71])
     for depth in (2, 3, 4, 9, 30, ds.n - 1):
-        np.testing.assert_array_equal(shallow.ranked(rows, depth), full.order[rows, :depth])
+        np.testing.assert_array_equal(nt.ranked(rows, depth), full[rows, :depth])
 
 
 def test_bounded_exclude_same_group_is_prefix_of_full_partition(small_blocks):
@@ -288,15 +299,15 @@ def test_bounded_exclude_same_group_is_prefix_of_full_partition(small_blocks):
         [f"g{v}" for v in rng.integers(12, size=96)]))
     for ds in cases:
         order, dist, limit = reference_partitioned_table(ds, exclude_same_group=True)
+        nt = build_neighbor_table(ds, exclude_same_group=True)
+        np.testing.assert_array_equal(nt.limit, limit)
         # depths below, at and beyond the smallest usable prefix
         for depth in (1, 4, 11, 12, 40, int(limit.min()), int(limit.max()), ds.n - 1):
-            nt = build_neighbor_table(ds, exclude_same_group=True, depth=depth)
-            np.testing.assert_array_equal(nt.order, order[:, :depth])
-            np.testing.assert_array_equal(nt.dist, dist[:, :depth])
-            np.testing.assert_array_equal(nt.limit, limit)
-        shallow = build_neighbor_table(ds, exclude_same_group=True, depth=2)
+            nt_order, nt_dist = table_arrays(nt, depth)
+            np.testing.assert_array_equal(nt_order, order[:, :depth])
+            np.testing.assert_array_equal(nt_dist, dist[:, :depth])
         rows = np.arange(0, ds.n, 7)
-        np.testing.assert_array_equal(shallow.ranked(rows, ds.n - 1), order[rows])
+        np.testing.assert_array_equal(nt.ranked(rows, ds.n - 1), order[rows])
 
 
 def test_streamed_curves_equal_full_table_curves(small_blocks):
@@ -312,8 +323,7 @@ def test_streamed_curves_equal_full_table_curves(small_blocks):
         neigh = order[:, :depth]
         f_bio = (ds.bio_codes[neigh] == ds.bio_codes[:, None]).mean(axis=0)
         f_conf = (ds.conf_codes[neigh] == ds.conf_codes[:, None]).mean(axis=0)
-        for table_depth in (0, 50, None):
-            nt = build_neighbor_table(ds, exclude_same_group=exclude, depth=table_depth)
-            curves = frequency_curves(ds, nt)
-            assert curves.f_bio.tobytes() == f_bio.tobytes()
-            assert curves.f_conf.tobytes() == f_conf.tobytes()
+        nt = build_neighbor_table(ds, exclude_same_group=exclude)
+        curves = frequency_curves(ds, nt)
+        assert curves.f_bio.tobytes() == f_bio.tobytes()
+        assert curves.f_conf.tobytes() == f_conf.tobytes()
