@@ -201,7 +201,11 @@ def _grid_vote(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     n, width = codes.shape
     first = np.full((n, counts.shape[2]), width, dtype=np.intp)
-    np.minimum.at(first, (np.arange(n)[:, None], codes), np.arange(width))
+    rows = np.arange(n)
+    # right to left, so each class keeps its leftmost column; a column holds
+    # one code per row, so no assignment repeats an index
+    for j in range(width - 1, -1, -1):
+        first[rows, codes[:, j]] = j
     best = counts.max(axis=2, keepdims=True)
     tie_key = np.where(counts == best, first[:, None, :], width + 1)
     return tie_key.argmin(axis=2)

@@ -10,27 +10,41 @@ nothing up front: it keeps the distance matrix, and each analysis ranks all
 its rows once, in blocks, only as deep as it reads: the robustness index k
 columns, the cross-validated probes a fold-dependent margin above their
 largest k. Rows that need more are ranked deeper from the same bits.
+Blocks are ranked on every core in the process's CPU affinity
+(``_workers``), by the threads of one pool. The ranks are the same for any
+worker count, and ``taskset -c 0`` gives the serial path.
+
 Memory: the n×n float64 distance matrix, held by the table, plus during an
-analysis call the (n, depth) ranks and block temporaries of about
-``_BLOCK_ELEMS`` elements (8 MB each); ``frequency_curves`` streams
-full-depth blocks and never holds an (n, n−1) table.
+analysis call the (n, depth) ranks and, per pool thread, the temporaries of
+one ranking task of about ``_BLOCK_ELEMS / _TASKS_PER_BLOCK`` elements
+(256 KB each). glibc gives each thread its own malloc arena, which keeps the
+freed temporaries of its largest task resident; tasks are kept this small
+so that the arenas add under 2 MiB at n = 3500 on two cores.
+``frequency_curves`` streams full-depth blocks of about ``_BLOCK_ELEMS``
+elements (8 MB of ranks each) and never holds an (n, n−1) table.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import EmbeddingDataset
 
-# elements per row block (rows × columns) ranked at once
+# elements per row block (rows × columns) that an analysis streams at once
 _BLOCK_ELEMS = 1 << 20
+# ranking tasks per row block: small tasks keep small the freed temporaries
+# that each worker thread's malloc arena holds on to
+_TASKS_PER_BLOCK = 32
 
 
-def _row_blocks(n_rows: int, row_elems: int):
-    """Consecutive row slices of about ``_BLOCK_ELEMS`` elements each."""
-    step = max(1, _BLOCK_ELEMS // max(row_elems, 1))
+def _row_blocks(n_rows: int, row_elems: int, parts: int = 1):
+    """Consecutive row slices of about ``_BLOCK_ELEMS / parts`` elements each."""
+    step = max(1, _BLOCK_ELEMS // parts // max(row_elems, 1))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 
@@ -82,6 +96,8 @@ def _rank_block(d: np.ndarray, rows: np.ndarray, depth: int,
     in (distance, index) order.
     """
     if groups is None:
+        if (np.diff(rows) == 1).all():  # consecutive rows: rank a view, not a copy
+            return _rank_rows(d[rows[0]:rows[0] + len(rows)], depth)
         return _rank_rows(d[rows], depth)
     n = d.shape[1]
     block = d[rows]  # a copy: rows is an index array
@@ -97,12 +113,47 @@ def _rank_block(d: np.ndarray, rows: np.ndarray, depth: int,
     return order
 
 
+def _workers() -> int:
+    """Cores this process may run on: the threads that rank row blocks."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide ranking pool of ``workers`` threads, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="embrobust-rank")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's pool threads: it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
           groups: np.ndarray | None) -> np.ndarray:
-    """``_rank_block`` over ``rows`` taken a block at a time."""
+    """``_rank_block`` over ``rows``, a task-sized block at a time, on every
+    usable core.
+
+    Each task writes only its own rows of the output, and numpy's sorts and
+    gathers release the GIL. A row's ranks do not depend on its block or
+    thread, so they are the same for any worker count. With one worker or
+    one block, the blocks run in the calling thread.
+    """
     out = np.empty((len(rows), depth), dtype=np.intp)
-    for blk in _row_blocks(len(rows), d.shape[1]):
+
+    def task(blk: slice) -> None:
         out[blk] = _rank_block(d, rows[blk], depth, groups)
+
+    blocks = list(_row_blocks(len(rows), d.shape[1], _TASKS_PER_BLOCK))
+    workers = _workers()
+    if workers == 1 or len(blocks) == 1:
+        for blk in blocks:
+            task(blk)
+    else:
+        # list() reads every result, so a task's exception is raised here
+        list(_pool(workers).map(task, blocks))
     return out
 
 

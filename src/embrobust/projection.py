@@ -172,11 +172,15 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
     Deterministic given the seed: initial coordinates are a small isotropic
     Gaussian cloud from a seeded generator. The kl_trace always records the
     divergence against the true (non-exaggerated) affinities. Raises
-    ``ValueError`` for a perplexity that is not a finite number > 0, fewer
-    than one iteration or a negative early-exaggeration length.
+    ``ValueError`` for a perplexity, learning rate or early-exaggeration
+    factor that is not a finite number > 0, fewer than one iteration or a
+    negative early-exaggeration length.
     """
-    if not (np.isfinite(cfg.perplexity) and cfg.perplexity > 0):
-        raise ValueError(f"perplexity must be a finite number > 0, got {cfg.perplexity}")
+    for name, value in (("perplexity", cfg.perplexity),
+                        ("learning rate", cfg.learning_rate),
+                        ("early exaggeration factor", cfg.early_exaggeration_factor)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
     if cfg.iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {cfg.iterations}")
     if cfg.early_exaggeration_iters < 0:

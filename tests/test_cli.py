@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import embrobust
-from embrobust import (SynthSpec, assign_folds, build_neighbor_table,
-                       confounder_analysis, frequency_curves, generate,
-                       knn_predict, load_dataset, logreg_cv, robustness_index)
+from embrobust import (EmbeddingDataset, SynthSpec, assign_folds,
+                       build_neighbor_table, confounder_analysis,
+                       frequency_curves, generate, knn_predict, load_dataset,
+                       logreg_cv, robustness_index, save_dataset)
+from embrobust import cli, neighbors
 from embrobust.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -191,6 +193,31 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
         assert done.returncode == 0, done.stderr
         snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(snapshots[0]) == 13
+    assert snapshots[0] == snapshots[1]
+
+
+def test_outputs_identical_across_ranking_worker_counts(tmp_path, monkeypatch):
+    """index, curves, confounders and eval --exclude-same-group write the same
+    bytes with 1 ranking worker and with 3, each ranking split into many
+    tasks."""
+    ds = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=14, dim=16, noise_sigma=0.6,
+                            conf_strength=1.2, seed=8))
+    ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
+                                      [f"g{i % 30}" for i in range(ds.n)])
+    save_dataset(ds, tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
+    ds_flags = ["--manifest", str(tmp_path / "manifest.csv"),
+                "--embeddings", str(tmp_path / "embeddings.bin")]
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", 2000)
+    snapshots = []
+    for workers in (1, 3):
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        out = tmp_path / f"out{workers}"
+        for argv in (["index", "--k", "10"], ["curves"],
+                     ["confounders", "--k-grid", "1,3,9", "--reps", "2"],
+                     ["eval", "--exclude-same-group", "--logreg-max-iter", "200"]):
+            assert main([*argv, *ds_flags, "--out-dir", str(out)]) == 0
+        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(snapshots[0]) == 10
     assert snapshots[0] == snapshots[1]
 
 
@@ -397,8 +424,15 @@ def test_tsne_too_small_exits_2(tmp_path):
     (["--perplexity", "-3"], "perplexity must be a finite number > 0, got -3.0"),
     (["--perplexity", "nan"], "perplexity must be a finite number > 0, got nan"),
     (["--tsne-early-iters", "-1"], "early exaggeration iterations must be >= 0, got -1"),
+    (["--tsne-lr", "0"], "learning rate must be a finite number > 0, got 0.0"),
+    (["--tsne-lr", "-200"], "learning rate must be a finite number > 0, got -200.0"),
+    (["--tsne-early-factor", "-1"],
+     "early exaggeration factor must be a finite number > 0, got -1.0"),
+    (["--tsne-early-factor", "inf"],
+     "early exaggeration factor must be a finite number > 0, got inf"),
 ], ids=["no_iterations", "perplexity_zero", "perplexity_negative", "perplexity_nan",
-        "negative_early_iters"])
+        "negative_early_iters", "lr_zero", "lr_negative", "early_factor_negative",
+        "early_factor_inf"])
 def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
     data = workspace / "data"
     out = tmp_path / "out"
@@ -409,10 +443,16 @@ def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lam", ["-1", "nan"])
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [["eval"], ["relation", "--k-grid", "1,2", "--reps", "1"]],
                          ids=["eval", "relation"])
-def test_bad_lambda_exits_2(workspace, tmp_path, capsys, argv, lam):
+def test_bad_lambda_exits_2(workspace, tmp_path, capsys, monkeypatch, argv, lam):
+    """A bad --lambda is rejected before any analysis runs."""
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran")
+
+    monkeypatch.setattr(cli, "build_neighbor_table", no_analysis)
+    monkeypatch.setattr(cli, "load_dataset", no_analysis)
     data = workspace / "data"
     out = tmp_path / "out"
     assert main([*argv, "--manifest", str(data / "manifest.csv"),

@@ -158,6 +158,32 @@ def test_grid_vote_equals_per_k_vote():
             np.testing.assert_array_equal(grid[:, g], reference_vote(codes, k, n_classes))
 
 
+def brute_force_vote(row, k: int) -> int:
+    """One row's vote over its first k codes: the most frequent class, ties
+    to the tied class met first along the row."""
+    counts: dict[int, int] = {}
+    for c in row[:k]:
+        counts[c] = counts.get(c, 0) + 1
+    best = max(counts.values())
+    return next(c for c in row[:k] if counts[c] == best)
+
+
+def test_grid_vote_equals_brute_force_on_many_ties():
+    rng = np.random.default_rng(62)
+    ks = np.array([1, 2, 4, 6, 9, 10, 24])
+    for n_classes in (2, 3, 5):
+        codes = rng.integers(n_classes, size=(300, 24))
+        counts = _grid_counts(codes, n_classes, ks)
+        grid = _grid_vote(codes, counts)
+        tied = 0
+        for g, k in enumerate(ks):
+            top = counts[:, g].max(axis=1, keepdims=True)
+            tied += int(((counts[:, g] == top).sum(axis=1) > 1).sum())
+            expected = [brute_force_vote(row.tolist(), k) for row in codes]
+            assert grid[:, g].tolist() == expected
+        assert tied > 300  # rows whose vote a tie decides
+
+
 def rank_depth(monkeypatch, depth: int) -> None:
     """Make the kNN analyses rank ``depth`` columns, whatever their k."""
     monkeypatch.setattr(evaluation, "knn_table_depth", lambda k, n_folds: depth)
@@ -855,3 +881,23 @@ def test_each_analysis_ranks_its_rows_once(monkeypatch, grouped, analysis):
     calls = count_rankings(monkeypatch)
     run()
     assert calls == [(ds.n, depth)]
+
+
+def test_knn_analyses_identical_for_any_worker_count(monkeypatch):
+    # rank 3 columns deep in blocks of one row, so every row is re-ranked
+    # in full and each ranking runs as many tasks
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", 100)
+    rank_depth(monkeypatch, 3)
+    calls = count_rankings(monkeypatch)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        for grouped, ds in ((False, confounded_ds()), (True, grouped_confounded_ds())):
+            nt = build_neighbor_table(ds, exclude_same_group=grouped)
+            knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 5)
+            conf = confounder_analysis(ds, nt, (3, 4), n_folds=4, k_grid=ENSEMBLE_GRID)
+            results.append((grouped, knn.predictions, conf.frac_same_center.tobytes(),
+                            conf.acc_bio.tobytes(), conf.acc_conf.tobytes()))
+    assert results[0::2] == [results[0]] * 3
+    assert results[1::2] == [results[1]] * 3
+    assert {depth for _, depth in calls} == {3, confounded_ds().n - 1}

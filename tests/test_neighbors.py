@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,3 +332,86 @@ def test_streamed_curves_equal_full_table_curves(small_blocks):
         curves = frequency_curves(ds, nt)
         assert curves.f_bio.tobytes() == f_bio.tobytes()
         assert curves.f_conf.tobytes() == f_conf.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# ranking on several worker threads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def switch_often():
+    """Switch threads every microsecond, so a lost or doubled block shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def by_worker_count(monkeypatch, rank, counts=(1, 2, 3, 8)):
+    """``rank()`` with each worker count; 8 is more threads than cores."""
+    results = []
+    for workers in counts:
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        results.append(rank())
+    return results
+
+
+def test_ranks_identical_for_any_worker_count(small_blocks, monkeypatch, switch_often):
+    groups = [f"g{i // 4}" if i % 9 else "" for i in range(96)]
+    cases = [
+        # plain: exact ties across every depth below
+        (duplicated_dataset(seed=6, n_distinct=17, copies=7, dim=3), False),
+        # group exclusion: depths past the usable prefix of every row
+        (duplicated_dataset(seed=9, n_distinct=16, copies=6, dim=3, groups=groups), True),
+    ]
+    for ds, exclude in cases:
+        order, _, limit = reference_partitioned_table(ds, exclude)
+        nt = build_neighbor_table(ds, exclude_same_group=exclude)
+        assert len(list(neighbors._row_blocks(ds.n, ds.n, neighbors._TASKS_PER_BLOCK))) > 8
+        for depth in (1, 5, 14, int(limit.min()) + 1, ds.n - 1):
+            for rows in (slice(None), np.arange(3, ds.n, 5), np.arange(10, 50)):
+                serial, *threaded = by_worker_count(monkeypatch,
+                                                    lambda: nt.ranked(rows, depth))
+                np.testing.assert_array_equal(serial, order[rows, :depth])
+                for ranks in threaded:
+                    np.testing.assert_array_equal(ranks, serial)
+
+
+def test_ranking_task_error_reaches_the_caller(small_blocks, monkeypatch):
+    nt = build_neighbor_table(make_random_dataset(seed=3, n=60, dim=4))
+
+    def failing(d, rows, depth, groups):
+        if 30 in rows:
+            raise MemoryError("the block of row 30")
+        return rank_block(d, rows, depth, groups)
+
+    rank_block = neighbors._rank_block
+    monkeypatch.setattr(neighbors, "_rank_block", failing)
+    monkeypatch.setattr(neighbors, "_workers", lambda: 3)
+    with pytest.raises(MemoryError, match="the block of row 30"):
+        nt.ranked(slice(None), 10)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_ranking_in_a_forked_child(monkeypatch):
+    """A child forked after the parent's pool threads started ranks on
+    threads of its own instead of waiting on the parent's."""
+    monkeypatch.setattr(neighbors, "_workers", lambda: 2)
+    nt = build_neighbor_table(make_random_dataset(seed=3, n=200, dim=4))
+    expected = nt.ranked(slice(None), 5)  # starts the pool threads here
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        child = ctx.Process(target=lambda: queue.put(nt.ranked(slice(None), 5)))
+        child.start()
+    try:
+        ranks = queue.get(timeout=30)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive()
+    np.testing.assert_array_equal(ranks, expected)

@@ -224,6 +224,18 @@ def test_tsne_preconditions():
                             early_exaggeration_iters=200))
 
 
+@pytest.mark.parametrize("field, name", [
+    ("learning_rate", "learning rate"),
+    ("early_exaggeration_factor", "early exaggeration factor"),
+])
+@pytest.mark.parametrize("value", [0.0, -200.0, float("nan"), float("inf")])
+def test_tsne_rejects_step_settings_that_are_not_positive_and_finite(field, name, value):
+    ds = make_random_dataset(seed=1, n=40, dim=4)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
+        tsne(ds, TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5,
+                            **{field: value}))
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
