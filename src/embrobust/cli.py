@@ -123,9 +123,11 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _check_lambda(lam: float) -> None:
+def _check_logreg(lam: float, max_iter: int) -> None:
     if not (math.isfinite(lam) and lam >= 0):
         raise UsageError(f"lambda must be a finite number >= 0, got {lam}")
+    if max_iter < 1:
+        raise UsageError(f"--logreg-max-iter must be >= 1, got {max_iter}")
 
 
 def _rep_seeds(seed: int, reps: int) -> tuple[int, ...]:
@@ -302,7 +304,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--target must be bio, conf or both, got {args.target!r}")
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    _check_lambda(args.lam)
+    _check_logreg(args.lam, args.logreg_max_iter)
     targets = ("bio", "conf") if args.target == "both" else (args.target,)
     ds = _load(args)
     coords = _load_coords(args.coords, ds) if args.coords else None
@@ -420,7 +422,7 @@ def cmd_relation(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     k_grid = _parse_k_grid(args.k_grid)
-    _check_lambda(args.lam)
+    _check_logreg(args.lam, args.logreg_max_iter)
     ds = _load(args)
     nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
     seeds = _rep_seeds(args.seed, args.reps)

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataset import EmbeddingDataset, class_count_matrix
-from .neighbors import NeighborTable
+from .neighbors import NeighborTable, _map_blocks, _row_blocks
 
 # 9 log-spaced neighbor counts from 1 to 250
 DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32, 63, 125, 250)
@@ -135,43 +135,77 @@ def _take_training(sub: np.ndarray, ok: np.ndarray, depth: int) -> np.ndarray:
     return sub[keep].reshape(-1, depth)
 
 
+class _TooFewTraining(AnalysisError):
+    """A sample of ``fold`` has only ``available`` (< k) training neighbors."""
+
+    def __init__(self, k: int, fold: int, available: int):
+        super().__init__(
+            f"k={k} exceeds training-fold size ({available} "
+            f"training neighbors available for some sample in fold {fold})")
+        self.fold = fold
+        self.available = available
+
+
 def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
-                              folds: FoldAssignment, depth: int) -> np.ndarray:
-    """(n, depth) indices of each sample's nearest training-fold neighbors.
+                              folds: FoldAssignment, rows: slice | np.ndarray,
+                              depth: int) -> np.ndarray:
+    """(rows, depth) indices of the given samples' nearest training-fold
+    neighbors.
 
-    Row i holds the ``depth`` nearest neighbors of i among samples outside
-    i's own fold, in rank order, read from ``ranked``, the first columns of
-    every row of ``nt``'s ranking. Rows whose columns there hold fewer are
-    ranked in full. Raises if any sample has too few.
+    Row i holds the ``depth`` nearest neighbors of the i-th given sample among
+    samples outside its own fold, in rank order, read from ``ranked``, the
+    first columns of every row of ``nt``'s ranking. Rows whose columns there
+    hold fewer are ranked in full. If some sample has fewer in all, raises
+    ``_TooFewTraining`` for the first such fold, with the fewest training
+    neighbors any of the given samples of that fold has.
     """
-    n = nt.n
-    out = np.empty((n, depth), dtype=np.intp)
+    fold_of = folds.fold_of
 
-    def usable(rows: np.ndarray, sub: np.ndarray, training: np.ndarray) -> np.ndarray:
+    def usable(rows, sub: np.ndarray) -> np.ndarray:
         cols = np.arange(sub.shape[1])
-        return training[sub] & (cols[None, :] < nt.limit[rows][:, None])
+        return (fold_of[sub] != fold_of[rows, None]) & (cols < nt.limit[rows, None])
 
-    for f in range(folds.n_folds):
-        rows = np.nonzero(folds.fold_of == f)[0]
-        if len(rows) == 0:
-            continue
-        training = folds.fold_of != f
-        sub = ranked[rows]
-        ok = usable(rows, sub, training)
-        short = ok.sum(axis=1) < depth
-        if short.any():
-            deep_rows = rows[short]
-            deep = nt.ranked(deep_rows, n - 1)
-            deep_ok = usable(deep_rows, deep, training)
-            avail = deep_ok.sum(axis=1)
-            if avail.min() < depth:
-                raise AnalysisError(
-                    f"k={depth} exceeds training-fold size ({int(avail.min())} "
-                    f"training neighbors available for some sample in fold {f})")
-            out[deep_rows] = _take_training(deep, deep_ok, depth)
-            rows, sub, ok = rows[~short], sub[~short], ok[~short]
-        out[rows] = _take_training(sub, ok, depth)
+    sub = ranked[rows]  # a view for a slice of rows
+    ok = usable(rows, sub)
+    short = ok.sum(axis=1) < depth
+    if not short.any():
+        return _take_training(sub, ok, depth)
+    deep_rows = np.arange(nt.n)[rows][short]
+    deep = nt.ranked(deep_rows, nt.n - 1)
+    deep_ok = usable(deep_rows, deep)
+    avail = deep_ok.sum(axis=1)
+    if avail.min() < depth:
+        fold = int(fold_of[deep_rows[avail < depth]].min())
+        raise _TooFewTraining(depth, fold, int(avail[fold_of[deep_rows] == fold].min()))
+    out = np.empty((len(sub), depth), dtype=np.intp)
+    out[short] = _take_training(deep, deep_ok, depth)
+    out[~short] = _take_training(sub[~short], ok[~short], depth)
     return out
+
+
+def _vote_blocks(nt: NeighborTable, ranked: np.ndarray, folds: FoldAssignment,
+                 depth: int, vote) -> None:
+    """``vote(rows, prefix)`` for every row block of ``nt``, as tasks on the
+    ranking pool; ``prefix`` is the ``_training_neighbor_prefix`` of the
+    block's rows, and ``vote`` writes only those rows of its outputs.
+
+    Raises the ``AnalysisError`` of the first fold with a sample that has
+    fewer than ``depth`` training neighbors, as one serial pass would.
+    """
+    def task(rows: slice) -> _TooFewTraining | None:
+        try:
+            prefix = _training_neighbor_prefix(nt, ranked, folds, rows, depth)
+        except _TooFewTraining as exc:
+            return exc
+        vote(rows, prefix)
+        return None
+
+    # a task allocates its rows' training-fold test and running counts, each
+    # as wide as ``ranked``
+    blocks = _row_blocks(nt.n, 2 * ranked.shape[1])
+    failed = [exc for exc in _map_blocks(task, blocks) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda exc: (exc.fold, exc.available))
 
 
 def _grid_counts(codes: np.ndarray, n_classes: int, ks: np.ndarray,
@@ -184,10 +218,13 @@ def _grid_counts(codes: np.ndarray, n_classes: int, ks: np.ndarray,
     """
     n, width = codes.shape
     segment = np.searchsorted(ks, np.arange(width), side="right")
-    key = (np.arange(n)[:, None] * len(ks) + segment) * n_classes + codes
+    key = np.arange(n)[:, None] * len(ks) + segment
+    key *= n_classes
+    key += codes
+    size = n * len(ks) * n_classes
     if where is not None:
-        key = key[where]
-    counts = np.bincount(key.ravel(), minlength=n * len(ks) * n_classes)
+        key[~where] = size  # one bin past the counted ones
+    counts = np.bincount(key.ravel(), minlength=size + 1)[:size]
     return counts.reshape(n, len(ks), n_classes).cumsum(axis=1)
 
 
@@ -197,15 +234,12 @@ def _grid_vote(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ``counts`` is ``_grid_counts`` of ``codes``. Ties go to the class of the
     nearest neighbor holding a tied class: a class tied at the top has at
     least one neighbor within k, so its first column over the whole prefix
-    is its first column within k.
+    is its first column within k. A class absent from a row is never tied
+    at the top there, so the 0 that argmax gives it is never read.
     """
-    n, width = codes.shape
-    first = np.full((n, counts.shape[2]), width, dtype=np.intp)
-    rows = np.arange(n)
-    # right to left, so each class keeps its leftmost column; a column holds
-    # one code per row, so no assignment repeats an index
-    for j in range(width - 1, -1, -1):
-        first[rows, codes[:, j]] = j
+    width = codes.shape[1]
+    first = np.stack([(codes == c).argmax(axis=1) for c in range(counts.shape[2])],
+                     axis=1)
     best = counts.max(axis=2, keepdims=True)
     tie_key = np.where(counts == best, first[:, None, :], width + 1)
     return tie_key.argmin(axis=2)
@@ -241,8 +275,14 @@ def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
     ranked = nt.ranked(slice(None), knn_table_depth(k, folds.n_folds))
-    nb = codes[_training_neighbor_prefix(nt, ranked, folds, k)]
-    pred = _grid_vote(nb, _grid_counts(nb, len(classes), np.array([k])))[:, 0]
+    pred = np.empty(ds.n, dtype=np.intp)
+    ks = np.array([k])
+
+    def vote(rows: slice, prefix: np.ndarray) -> None:
+        nb = codes[prefix]
+        pred[rows] = _grid_vote(nb, _grid_counts(nb, len(classes), ks))[:, 0]
+
+    _vote_blocks(nt, ranked, folds, k, vote)
     return _make_result(ds, target, pred, classes, folds)
 
 
@@ -325,10 +365,13 @@ def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
     below ``grad_tol``; a line search that finds no descent step stops the
     fit unconverged. The zero-initialized full-batch optimizer is
     deterministic. Raises ``ValueError`` unless ``lam`` is a finite number
-    >= 0: a negative penalty leaves the objective unbounded below.
+    >= 0, as a negative penalty leaves the objective unbounded below, and
+    for ``max_iter`` < 1, which would return the untrained zero model.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be a finite number >= 0, got {lam}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise AnalysisError("non-finite feature value")
@@ -455,39 +498,57 @@ def _grid_columns(k_grid: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray, n
 class _KnnRun:
     """One repetition of the kNN-run ensemble, with every k of the grid voted.
 
-    Column g stands for k = ks[g]: ``pred[:, g]`` is each sample's kNN vote
-    on the bio target, ``bio_counts[:, g, c]`` how many of its k nearest
-    training neighbors carry bio class c, and ``same_center[:, g, c]`` how
-    many of those also share the sample's confounder label.
+    Column g stands for k = ks[g]: ``pred[:, g]`` and ``pred_conf[:, g]``
+    are each sample's kNN votes on the bio and confounder targets,
+    ``bio_counts[:, g, c]`` how many of its k nearest training neighbors
+    carry bio class c, and ``same_center[:, g, c]`` how many of those also
+    share the sample's confounder label.
     """
 
     folds: FoldAssignment
-    nb_conf: np.ndarray      # (n, max k) confounder codes of the training neighbors
     pred: np.ndarray         # (n, G)
+    pred_conf: np.ndarray    # (n, G)
     bio_counts: np.ndarray   # (n, G, n_bio)
     same_center: np.ndarray  # (n, G, n_bio)
 
 
 def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
                   ks: np.ndarray, seeds: Sequence[int]) -> Iterator[_KnnRun]:
-    """Per repetition seed: fresh folds, the training-neighbor prefix of
-    depth max(ks) and the bio votes at every k in ``ks`` (strictly
-    ascending), all from one cumulative per-class count. The rows are ranked
-    once, for every seed."""
+    """Per repetition seed: fresh folds, then the votes and counts of every k
+    in ``ks`` (strictly ascending).
+
+    The rows are ranked once, for every seed. Each seed's rows then run as
+    row-block tasks on the ranking pool (``_vote_blocks``): a task takes its
+    rows' training-fold prefix of depth max(ks), their class counts at every
+    k from one cumulative per-class count, and their bio and confounder
+    votes, and writes only its rows of the seed's ``_KnnRun``. Seeds run one
+    after another, so memory holds one seed's outputs plus a block per pool
+    thread; no (n, max k) array is made.
+    """
     if len(seeds) == 0:
         raise AnalysisError("the kNN-run ensemble needs at least one seed")
     max_k = int(ks[-1])
+    n_bio, n_conf = len(ds.bio_classes), len(ds.conf_classes)
     ranked = nt.ranked(slice(None), knn_table_depth(max_k, n_folds))
+    shape = (ds.n, len(ks))
     for seed in seeds:
-        folds = assign_folds(ds, n_folds, seed)
-        prefix = _training_neighbor_prefix(nt, ranked, folds, max_k)
-        nb_bio = ds.bio_codes[prefix]
-        nb_conf = ds.conf_codes[prefix]
-        n_bio = len(ds.bio_classes)
-        counts = _grid_counts(nb_bio, n_bio, ks)
-        same_center = _grid_counts(nb_bio, n_bio, ks,
-                                   where=nb_conf == ds.conf_codes[:, None])
-        yield _KnnRun(folds, nb_conf, _grid_vote(nb_bio, counts), counts, same_center)
+        run = _KnnRun(assign_folds(ds, n_folds, seed),
+                      np.empty(shape, np.intp), np.empty(shape, np.intp),
+                      np.empty((*shape, n_bio), np.intp), np.empty((*shape, n_bio), np.intp))
+
+        def vote(rows: slice, prefix: np.ndarray) -> None:
+            nb_conf = ds.conf_codes[prefix]
+            run.pred_conf[rows] = _grid_vote(nb_conf, _grid_counts(nb_conf, n_conf, ks))
+            same = nb_conf == ds.conf_codes[rows, None]
+            del nb_conf  # one (rows, max k) code array at a time
+            nb_bio = ds.bio_codes[prefix]
+            bio = _grid_counts(nb_bio, n_bio, ks)
+            run.bio_counts[rows] = bio
+            run.same_center[rows] = _grid_counts(nb_bio, n_bio, ks, where=same)
+            run.pred[rows] = _grid_vote(nb_bio, bio)
+
+        _vote_blocks(nt, ranked, run.folds, max_k, vote)
+        yield run
 
 
 def confounder_analysis(
@@ -513,13 +574,12 @@ def confounder_analysis(
     acc_bio = np.zeros((len(seeds), len(k_grid)))
     acc_conf = np.zeros((len(seeds), len(k_grid)))
     for r, run in enumerate(_knn_ensemble(ds, nt, n_folds, ks, seeds)):
-        pred_conf = _grid_vote(run.nb_conf, _grid_counts(run.nb_conf, n_conf, ks))
         for ki, g in enumerate(cols):
             pred = run.pred[:, g]
             correct = pred == ds.bio_codes
             acc_bio[r, ki] = np.mean(_fold_accuracy(correct, run.folds))
             acc_conf[r, ki] = np.mean(
-                _fold_accuracy(pred_conf[:, g] == ds.conf_codes, run.folds))
+                _fold_accuracy(run.pred_conf[:, g] == ds.conf_codes, run.folds))
             wrong = np.nonzero(~correct)[0]
             if len(wrong) == 0:
                 continue

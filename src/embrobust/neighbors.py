@@ -10,43 +10,51 @@ nothing up front: it keeps the distance matrix, and each analysis ranks all
 its rows once, in blocks, only as deep as it reads: the robustness index k
 columns, the cross-validated probes a fold-dependent margin above their
 largest k. Rows that need more are ranked deeper from the same bits.
-Blocks are ranked on every core in the process's CPU affinity
-(``_workers``), by the threads of one pool. The ranks are the same for any
-worker count, and ``taskset -c 0`` gives the serial path.
+
+Row blocks run as tasks on every core in the process's CPU affinity
+(``_workers``), on the threads of one pool (``_map_blocks``): ranking, the
+per-rank counts of ``frequency_curves``, and the kNN probe and kNN-run
+ensemble of ``evaluation``. Each task writes or returns only its own rows'
+results, so they are the same for any worker count, and ``taskset -c 0``
+makes every stage serial. Tasks requested from a pool thread (the deep
+re-rank of a kNN task's short rows) run inline in that thread, so a task
+never waits on its own pool.
 
 Memory: the n×n float64 distance matrix, held by the table, plus during an
 analysis call the (n, depth) ranks and, per pool thread, the temporaries of
-one ranking task of about ``_BLOCK_ELEMS / _TASKS_PER_BLOCK`` elements
-(256 KB each). glibc gives each thread its own malloc arena, which keeps the
-freed temporaries of its largest task resident; tasks are kept this small
-so that the arenas add under 2 MiB at n = 3500 on two cores.
-``frequency_curves`` streams full-depth blocks of about ``_BLOCK_ELEMS``
-elements (8 MB of ranks each) and never holds an (n, n−1) table.
+one task. Tasks are sized by what they allocate, about ``_TASK_ELEMS``
+elements (1 MB of 8-byte values): a ranking task without group exclusion
+holds 1 MB of distances (37 rows at n = 3500). glibc gives each thread its
+own malloc arena, which keeps the freed temporaries of its largest task
+resident: after ``index``, ``curves`` and ``confounders`` at n = 3500 on two
+cores the two arenas held 3.3 MiB (``malloc_info``). ``frequency_curves``
+never holds an (n, n−1) table.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .dataset import EmbeddingDataset
 
-# elements per row block (rows × columns) that an analysis streams at once
-_BLOCK_ELEMS = 1 << 20
-# ranking tasks per row block: small tasks keep small the freed temporaries
-# that each worker thread's malloc arena holds on to
-_TASKS_PER_BLOCK = 32
+# elements that one row-block task allocates: 1 MB of 8-byte values. Each
+# pool thread's malloc arena keeps the freed temporaries of its largest task
+# resident; smaller tasks leave shallow rankings bound by per-task overhead
+_TASK_ELEMS = 1 << 17
 
 
-def _row_blocks(n_rows: int, row_elems: int, parts: int = 1):
-    """Consecutive row slices of about ``_BLOCK_ELEMS / parts`` elements each."""
-    step = max(1, _BLOCK_ELEMS // parts // max(row_elems, 1))
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows))
+def _row_blocks(n_rows: int, row_elems: int) -> list[slice]:
+    """Consecutive row slices for tasks that allocate ``row_elems`` elements
+    per row, about ``_TASK_ELEMS`` elements per slice."""
+    step = max(1, _TASK_ELEMS // max(row_elems, 1))
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def _rank_rows(d: np.ndarray, depth: int) -> np.ndarray:
@@ -114,16 +122,25 @@ def _rank_block(d: np.ndarray, rows: np.ndarray, depth: int,
 
 
 def _workers() -> int:
-    """Cores this process may run on: the threads that rank row blocks."""
+    """Cores this process may run on: the threads that run row-block tasks."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+# set in each pool thread: what a task asks of the pool runs inline there
+_pool_thread = threading.local()
+
+
+def _join_pool() -> None:
+    _pool_thread.inside = True
+
+
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide ranking pool of ``workers`` threads, made on first use."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="embrobust-rank")
+    """The process-wide pool of ``workers`` threads, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="embrobust-rank",
+                              initializer=_join_pool)
 
 
 if hasattr(os, "register_at_fork"):
@@ -131,29 +148,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
+def _map_blocks(task, blocks: list) -> Iterator:
+    """``task(b)`` for each of ``blocks``, in order, the tasks spread over
+    every usable core.
+
+    Tasks write only their own rows of shared outputs; numpy's sorts,
+    gathers and elementwise loops release the GIL. With one worker or one
+    block, or when called from a pool thread, the tasks run in the calling
+    thread: a pool thread that waited on tasks queued behind it could wait
+    forever. Results come as they are read, so a caller that folds them in
+    holds a few at a time; read every one, as a task's exception is raised
+    when its result is read.
+    """
+    workers = _workers()
+    if workers == 1 or len(blocks) == 1 or getattr(_pool_thread, "inside", False):
+        return map(task, blocks)
+    return _pool(workers).map(task, blocks)
+
+
 def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
           groups: np.ndarray | None) -> np.ndarray:
     """``_rank_block`` over ``rows``, a task-sized block at a time, on every
     usable core.
 
-    Each task writes only its own rows of the output, and numpy's sorts and
-    gathers release the GIL. A row's ranks do not depend on its block or
-    thread, so they are the same for any worker count. With one worker or
-    one block, the blocks run in the calling thread.
+    A row's ranks do not depend on its block or thread, so they are the
+    same for any worker count.
     """
     out = np.empty((len(rows), depth), dtype=np.intp)
 
     def task(blk: slice) -> None:
         out[blk] = _rank_block(d, rows[blk], depth, groups)
 
-    blocks = list(_row_blocks(len(rows), d.shape[1], _TASKS_PER_BLOCK))
-    workers = _workers()
-    if workers == 1 or len(blocks) == 1:
-        for blk in blocks:
-            task(blk)
-    else:
-        # list() reads every result, so a task's exception is raised here
-        list(_pool(workers).map(task, blocks))
+    # a task allocates its rows' n-wide ranks and, with group exclusion, an
+    # n-wide copy of their distances
+    width = d.shape[1] * (1 if groups is None else 2)
+    list(_map_blocks(task, _row_blocks(len(rows), width)))
     return out
 
 
@@ -273,16 +302,20 @@ def build_neighbor_table(
 def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves:
     """Per-rank same-label fractions over ranks 1..nt.max_rank.
 
-    Rows are ranked a block at a time and folded into per-rank counts, so
-    no (n, max_rank) table is held.
+    Each row-block task ranks its rows and returns their per-rank counts,
+    so no (n, max_rank) table is held.
     """
     depth = nt.max_rank
-    same_bio = np.zeros(depth, dtype=np.int64)
-    same_conf = np.zeros(depth, dtype=np.int64)
-    for rows in _row_blocks(nt.n, nt.n):
-        neigh = nt.ranked(rows, depth)
-        same_bio += (ds.bio_codes[neigh] == ds.bio_codes[rows, None]).sum(axis=0)
-        same_conf += (ds.conf_codes[neigh] == ds.conf_codes[rows, None]).sum(axis=0)
+
+    def counts(rows: slice) -> np.ndarray:
+        # ranked by _rank_block, not nt.ranked: a task holds no copy of its ranks
+        neigh = _rank_block(nt.distances, np.arange(rows.start, rows.stop), depth, nt.groups)
+        return np.stack([(codes[neigh] == codes[rows, None]).sum(axis=0)
+                         for codes in (ds.bio_codes, ds.conf_codes)])
+
+    # a task allocates its rows' ranks, sorted distances and label codes,
+    # each n wide
+    same_bio, same_conf = sum(_map_blocks(counts, _row_blocks(nt.n, 3 * nt.n)))
     f_bio = same_bio / nt.n
     f_conf = same_conf / nt.n
     f_bio.flags.writeable = False

@@ -197,9 +197,9 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
 
 
 def test_outputs_identical_across_ranking_worker_counts(tmp_path, monkeypatch):
-    """index, curves, confounders and eval --exclude-same-group write the same
-    bytes with 1 ranking worker and with 3, each ranking split into many
-    tasks."""
+    """index, curves, confounders, eval --exclude-same-group and relation
+    --exclude-same-group write the same bytes with 1 worker and with 3,
+    each ranking and each kNN vote split into many tasks."""
     ds = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=14, dim=16, noise_sigma=0.6,
                             conf_strength=1.2, seed=8))
     ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
@@ -207,17 +207,19 @@ def test_outputs_identical_across_ranking_worker_counts(tmp_path, monkeypatch):
     save_dataset(ds, tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
     ds_flags = ["--manifest", str(tmp_path / "manifest.csv"),
                 "--embeddings", str(tmp_path / "embeddings.bin")]
-    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", 2000)
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 300)
     snapshots = []
     for workers in (1, 3):
         monkeypatch.setattr(neighbors, "_workers", lambda: workers)
         out = tmp_path / f"out{workers}"
         for argv in (["index", "--k", "10"], ["curves"],
                      ["confounders", "--k-grid", "1,3,9", "--reps", "2"],
-                     ["eval", "--exclude-same-group", "--logreg-max-iter", "200"]):
+                     ["eval", "--exclude-same-group", "--logreg-max-iter", "200"],
+                     ["relation", "--exclude-same-group", "--k-grid", "1,3,9", "--reps", "2",
+                      "--logreg-max-iter", "200"]):
             assert main([*argv, *ds_flags, "--out-dir", str(out)]) == 0
         snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(snapshots[0]) == 10
+    assert len(snapshots[0]) == 13
     assert snapshots[0] == snapshots[1]
 
 
@@ -443,11 +445,19 @@ def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--lambda", "-1"], "lambda must be a finite number >= 0, got -1.0", id="-1"),
+    pytest.param(["--lambda", "nan"], "lambda must be a finite number >= 0, got nan", id="nan"),
+    pytest.param(["--lambda", "inf"], "lambda must be a finite number >= 0, got inf", id="inf"),
+    pytest.param(["--logreg-max-iter", "0"], "--logreg-max-iter must be >= 1, got 0",
+                 id="max-iter-0"),
+    pytest.param(["--logreg-max-iter", "-5"], "--logreg-max-iter must be >= 1, got -5",
+                 id="max-iter--5"),
+])
 @pytest.mark.parametrize("argv", [["eval"], ["relation", "--k-grid", "1,2", "--reps", "1"]],
                          ids=["eval", "relation"])
-def test_bad_lambda_exits_2(workspace, tmp_path, capsys, monkeypatch, argv, lam):
-    """A bad --lambda is rejected before any analysis runs."""
+def test_bad_lambda_exits_2(workspace, tmp_path, capsys, monkeypatch, argv, flags, message):
+    """A bad --lambda or --logreg-max-iter is rejected before any analysis runs."""
     def no_analysis(*args, **kwargs):
         raise AssertionError("an analysis ran")
 
@@ -457,9 +467,8 @@ def test_bad_lambda_exits_2(workspace, tmp_path, capsys, monkeypatch, argv, lam)
     out = tmp_path / "out"
     assert main([*argv, "--manifest", str(data / "manifest.csv"),
                  "--embeddings", str(data / "embeddings.bin"),
-                 "--lambda", lam, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: lambda must be a finite number >= 0, got {float(lam)}\n")
+                 *flags, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

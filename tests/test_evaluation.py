@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -201,10 +203,11 @@ def test_training_prefix_ranks_deeper_when_stored_prefix_is_short(monkeypatch):
     folds = FoldAssignment(fold_of, 3)
     shallow = nt.ranked(slice(None), 10)
     assert (fold_of[shallow[0]] == 0).all()
+    rows = np.arange(ds.n)
     for k in (1, 5, 20):
         expected = [oracle_training_ranking(ds, folds, i)[:k] for i in range(ds.n)]
         for ranked in (shallow, full):
-            assert _training_neighbor_prefix(nt, ranked, folds, k).tolist() == expected
+            assert _training_neighbor_prefix(nt, ranked, folds, rows, k).tolist() == expected
         predictions = []
         for ranked in (shallow, full):
             rank_depth(monkeypatch, ranked.shape[1])
@@ -213,7 +216,7 @@ def test_training_prefix_ranks_deeper_when_stored_prefix_is_short(monkeypatch):
     messages = []
     for ranked in (shallow, full):
         with pytest.raises(AnalysisError, match="exceeds training-fold size") as exc:
-            _training_neighbor_prefix(nt, ranked, folds, 40)
+            _training_neighbor_prefix(nt, ranked, folds, rows, 40)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -281,12 +284,46 @@ def test_knn_k1_accuracy_equals_nearest_training_agreement(small_random_ds):
     assert res.correct.tolist() == hits
 
 
-def test_knn_k_exceeds_training_fold():
+def test_knn_k_exceeds_training_fold(monkeypatch):
     ds = make_random_dataset(seed=3, n=12, dim=3)
     nt = build_neighbor_table(ds)
     folds = assign_folds(ds, 2, seed=0)
     with pytest.raises(AnalysisError, match="exceeds training-fold size"):
         knn_predict(ds, nt, folds, "bio", 10)
+    # with group exclusion and folds of 12, 24 and 36 samples, some samples
+    # of fold 1 and all of fold 2 are short of k = 48 training neighbors;
+    # the message names the first such fold and the fewest any of its
+    # samples has, whichever row blocks and threads found them
+    ds = grouped_confounded_ds()
+    nt = build_neighbor_table(ds, exclude_same_group=True)
+    groups = np.array(ds.group_ids, dtype=object)
+
+    def available(folds):
+        return np.array([
+            sum(1 for j in range(ds.n) if folds.fold_of[j] != folds.fold_of[i]
+                and not (groups[i] != "" and groups[j] == groups[i]))
+            for i in range(ds.n)])
+
+    def message(k, folds):
+        avail = available(folds)
+        fold = int(folds.fold_of[avail < k].min())
+        return (f"k={k} exceeds training-fold size ({avail[folds.fold_of == fold].min()} "
+                f"training neighbors available for some sample in fold {fold})")
+
+    uneven = FoldAssignment(np.resize([0, 1, 1, 2, 2, 2], ds.n), 3)
+    assert message(48, uneven) == ("k=48 exceeds training-fold size (46 training "
+                                   "neighbors available for some sample in fold 1)")
+    assert available(uneven).min() == 35
+    cases = [(lambda: knn_predict(ds, nt, uneven, "bio", 48), message(48, uneven)),
+             (lambda: confounder_analysis(ds, nt, (3,), n_folds=4, k_grid=(1, 54)),
+              message(54, assign_folds(ds, 4, 3)))]
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 100)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        for run, expected in cases:
+            with pytest.raises(AnalysisError) as exc:
+                run()
+            assert str(exc.value) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +405,17 @@ def test_logreg_cv_single_class_target():
 def test_logreg_needs_two_classes():
     with pytest.raises(AnalysisError, match="at least 2 classes"):
         logreg_fit(np.ones((4, 2)) + np.arange(4)[:, None], ["x"] * 4)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"lam": -1.0}, "lambda must be"), ({"lam": np.nan}, "lambda must be"),
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"max_iter": -5}, "max_iter must be >= 1, got -5"),
+])
+def test_logreg_rejects_bad_settings(settings, message):
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ValueError, match=message):
+        logreg_fit(X, ["a", "b", "a", "b"], **settings)
 
 
 def test_standardization_ignores_validation_rows(small_random_ds):
@@ -886,7 +934,7 @@ def test_each_analysis_ranks_its_rows_once(monkeypatch, grouped, analysis):
 def test_knn_analyses_identical_for_any_worker_count(monkeypatch):
     # rank 3 columns deep in blocks of one row, so every row is re-ranked
     # in full and each ranking runs as many tasks
-    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", 100)
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 100)
     rank_depth(monkeypatch, 3)
     calls = count_rankings(monkeypatch)
     results = []
@@ -901,3 +949,48 @@ def test_knn_analyses_identical_for_any_worker_count(monkeypatch):
     assert results[0::2] == [results[0]] * 3
     assert results[1::2] == [results[1]] * 3
     assert {depth for _, depth in calls} == {3, confounded_ds().n - 1}
+
+
+def test_deep_reranks_inside_ensemble_tasks_equal_serial(monkeypatch):
+    """Grouped data ranked 3 columns deep: every ensemble and kNN task ranks
+    its rows in full from a pool thread, with more tasks than workers. The
+    results equal the 1-worker ones; a task that waited on its own pool
+    fails this test at the timeout instead of hanging it."""
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 20)
+    rank_depth(monkeypatch, 3)
+    ds = grouped_confounded_ds()
+    nt = build_neighbor_table(ds, exclude_same_group=True)
+    deep_threads = set()
+    rank = neighbors._rank
+
+    def recorded(d, rows, depth, groups):
+        if depth == ds.n - 1:
+            deep_threads.add(threading.current_thread().name)
+        return rank(d, rows, depth, groups)
+
+    monkeypatch.setattr(neighbors, "_rank", recorded)
+
+    def analyses():
+        conf = confounder_analysis(ds, nt, (3, 4), n_folds=4, k_grid=ENSEMBLE_GRID)
+        rel = center_error_relation(ds, nt, (3, 4), k_grid=ENSEMBLE_GRID, lam=1e-2,
+                                    n_folds=4, logreg_max_iter=200)
+        knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 5)
+        return (conf.frac_same_center.tobytes(), conf.acc_bio.tobytes(),
+                conf.acc_conf.tobytes(), rel.fraction_center_error.tobytes(),
+                rel.bin_logreg_error.tobytes(), knn.predictions)
+
+    results = {}
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        deep_threads.clear()
+        done = []
+        runner = threading.Thread(target=lambda: done.append(analyses()), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), f"the analyses hung with {workers} workers"
+        results[workers] = done[0]
+        on_pool = {name for name in deep_threads if name.startswith("embrobust-rank")}
+        assert bool(on_pool) == (workers > 1)
+    assert len(evaluation._row_blocks(ds.n, 2 * 3)) > 8  # ensemble tasks
+    assert results[2] == results[1]
+    assert results[8] == results[1]

@@ -209,8 +209,8 @@ def test_exclude_same_group():
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Rank a few rows per block, so every table below spans many blocks."""
-    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", 1000)
+    """Rank a few rows per task, so every table below spans many tasks."""
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 300)
 
 
 def reference_partitioned_table(ds, exclude_same_group):
@@ -369,7 +369,7 @@ def test_ranks_identical_for_any_worker_count(small_blocks, monkeypatch, switch_
     for ds, exclude in cases:
         order, _, limit = reference_partitioned_table(ds, exclude)
         nt = build_neighbor_table(ds, exclude_same_group=exclude)
-        assert len(list(neighbors._row_blocks(ds.n, ds.n, neighbors._TASKS_PER_BLOCK))) > 8
+        assert len(neighbors._row_blocks(ds.n, ds.n)) > 8
         for depth in (1, 5, 14, int(limit.min()) + 1, ds.n - 1):
             for rows in (slice(None), np.arange(3, ds.n, 5), np.arange(10, 50)):
                 serial, *threaded = by_worker_count(monkeypatch,
