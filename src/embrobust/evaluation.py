@@ -228,21 +228,24 @@ def _grid_counts(codes: np.ndarray, n_classes: int, ks: np.ndarray,
     return counts.reshape(n, len(ks), n_classes).cumsum(axis=1)
 
 
-def _grid_vote(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _grid_vote(codes: np.ndarray, counts: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """(n, len(ks)) majority class among the first k neighbors, every k.
 
-    ``counts`` is ``_grid_counts`` of ``codes``. Ties go to the class of the
-    nearest neighbor holding a tied class: a class tied at the top has at
-    least one neighbor within k, so its first column over the whole prefix
-    is its first column within k. A class absent from a row is never tied
-    at the top there, so the 0 that argmax gives it is never read.
+    ``counts`` is ``_grid_counts(codes, n_classes, ks)``. Ties go to the
+    class of the nearest neighbor holding a tied class, found by scanning
+    the first k columns of the tied rows only. The cost is a few passes over
+    ``counts`` plus the tied rows' k columns, whatever the class count.
     """
-    width = codes.shape[1]
-    first = np.stack([(codes == c).argmax(axis=1) for c in range(counts.shape[2])],
-                     axis=1)
-    best = counts.max(axis=2, keepdims=True)
-    tie_key = np.where(counts == best, first[:, None, :], width + 1)
-    return tie_key.argmin(axis=2)
+    top = counts == counts.max(axis=2, keepdims=True)
+    pred = top.argmax(axis=2)  # the vote of every row with one top class
+    tied = top.sum(axis=2) > 1
+    for g, k in enumerate(ks):
+        rows = np.nonzero(tied[:, g])[0]
+        if len(rows):
+            nb = codes[rows, :k]
+            first = top[rows[:, None], g, nb].argmax(axis=1)
+            pred[rows, g] = nb[np.arange(len(rows)), first]
+    return pred
 
 
 def _fold_accuracy(correct: np.ndarray, folds: FoldAssignment) -> tuple[float, ...]:
@@ -280,7 +283,7 @@ def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
 
     def vote(rows: slice, prefix: np.ndarray) -> None:
         nb = codes[prefix]
-        pred[rows] = _grid_vote(nb, _grid_counts(nb, len(classes), ks))[:, 0]
+        pred[rows] = _grid_vote(nb, _grid_counts(nb, len(classes), ks), ks)[:, 0]
 
     _vote_blocks(nt, ranked, folds, k, vote)
     return _make_result(ds, target, pred, classes, folds)
@@ -499,7 +502,8 @@ class _KnnRun:
     """One repetition of the kNN-run ensemble, with every k of the grid voted.
 
     Column g stands for k = ks[g]: ``pred[:, g]`` and ``pred_conf[:, g]``
-    are each sample's kNN votes on the bio and confounder targets,
+    are each sample's kNN votes on the bio and confounder targets (the
+    latter None unless the ensemble was asked for them),
     ``bio_counts[:, g, c]`` how many of its k nearest training neighbors
     carry bio class c, and ``same_center[:, g, c]`` how many of those also
     share the sample's confounder label.
@@ -507,23 +511,25 @@ class _KnnRun:
 
     folds: FoldAssignment
     pred: np.ndarray         # (n, G)
-    pred_conf: np.ndarray    # (n, G)
+    pred_conf: np.ndarray | None  # (n, G)
     bio_counts: np.ndarray   # (n, G, n_bio)
     same_center: np.ndarray  # (n, G, n_bio)
 
 
 def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
-                  ks: np.ndarray, seeds: Sequence[int]) -> Iterator[_KnnRun]:
+                  ks: np.ndarray, seeds: Sequence[int],
+                  conf_votes: bool = False) -> Iterator[_KnnRun]:
     """Per repetition seed: fresh folds, then the votes and counts of every k
-    in ``ks`` (strictly ascending).
+    in ``ks`` (strictly ascending), with the confounder votes too when
+    ``conf_votes`` is set.
 
     The rows are ranked once, for every seed. Each seed's rows then run as
     row-block tasks on the ranking pool (``_vote_blocks``): a task takes its
     rows' training-fold prefix of depth max(ks), their class counts at every
-    k from one cumulative per-class count, and their bio and confounder
-    votes, and writes only its rows of the seed's ``_KnnRun``. Seeds run one
-    after another, so memory holds one seed's outputs plus a block per pool
-    thread; no (n, max k) array is made.
+    k from one cumulative per-class count, and their votes, and writes only
+    its rows of the seed's ``_KnnRun``. Seeds run one after another, so
+    memory holds one seed's outputs plus a block per pool thread; no
+    (n, max k) array is made.
     """
     if len(seeds) == 0:
         raise AnalysisError("the kNN-run ensemble needs at least one seed")
@@ -532,20 +538,22 @@ def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
     ranked = nt.ranked(slice(None), knn_table_depth(max_k, n_folds))
     shape = (ds.n, len(ks))
     for seed in seeds:
-        run = _KnnRun(assign_folds(ds, n_folds, seed),
-                      np.empty(shape, np.intp), np.empty(shape, np.intp),
+        run = _KnnRun(assign_folds(ds, n_folds, seed), np.empty(shape, np.intp),
+                      np.empty(shape, np.intp) if conf_votes else None,
                       np.empty((*shape, n_bio), np.intp), np.empty((*shape, n_bio), np.intp))
 
         def vote(rows: slice, prefix: np.ndarray) -> None:
             nb_conf = ds.conf_codes[prefix]
-            run.pred_conf[rows] = _grid_vote(nb_conf, _grid_counts(nb_conf, n_conf, ks))
+            if conf_votes:
+                run.pred_conf[rows] = _grid_vote(
+                    nb_conf, _grid_counts(nb_conf, n_conf, ks), ks)
             same = nb_conf == ds.conf_codes[rows, None]
             del nb_conf  # one (rows, max k) code array at a time
             nb_bio = ds.bio_codes[prefix]
             bio = _grid_counts(nb_bio, n_bio, ks)
             run.bio_counts[rows] = bio
             run.same_center[rows] = _grid_counts(nb_bio, n_bio, ks, where=same)
-            run.pred[rows] = _grid_vote(nb_bio, bio)
+            run.pred[rows] = _grid_vote(nb_bio, bio, ks)
 
         _vote_blocks(nt, ranked, run.folds, max_k, vote)
         yield run
@@ -573,7 +581,7 @@ def confounder_analysis(
     fractions: list[list[np.ndarray]] = [[] for _ in k_grid]
     acc_bio = np.zeros((len(seeds), len(k_grid)))
     acc_conf = np.zeros((len(seeds), len(k_grid)))
-    for r, run in enumerate(_knn_ensemble(ds, nt, n_folds, ks, seeds)):
+    for r, run in enumerate(_knn_ensemble(ds, nt, n_folds, ks, seeds, conf_votes=True)):
         for ki, g in enumerate(cols):
             pred = run.pred[:, g]
             correct = pred == ds.bio_codes

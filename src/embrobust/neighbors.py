@@ -16,9 +16,9 @@ Row blocks run as tasks on every core in the process's CPU affinity
 per-rank counts of ``frequency_curves``, and the kNN probe and kNN-run
 ensemble of ``evaluation``. Each task writes or returns only its own rows'
 results, so they are the same for any worker count, and ``taskset -c 0``
-makes every stage serial. Tasks requested from a pool thread (the deep
-re-rank of a kNN task's short rows) run inline in that thread, so a task
-never waits on its own pool.
+makes every stage serial. Tasks requested from a pool thread (a curve
+task ranking its rows, the deep re-rank of a kNN task's short rows) run
+inline in that thread, so a task never waits on its own pool.
 
 Memory: the n×n float64 distance matrix, held by the table, plus during an
 analysis call the (n, depth) ranks and, per pool thread, the temporaries of
@@ -50,10 +50,10 @@ from .dataset import EmbeddingDataset
 _TASK_ELEMS = 1 << 17
 
 
-def _row_blocks(n_rows: int, row_elems: int) -> list[slice]:
-    """Consecutive row slices for tasks that allocate ``row_elems`` elements
-    per row, about ``_TASK_ELEMS`` elements per slice."""
-    step = max(1, _TASK_ELEMS // max(row_elems, 1))
+def _row_blocks(n_rows: int, row_elems: int, elems: int | None = None) -> list[slice]:
+    """Consecutive row slices for work that allocates ``row_elems`` elements
+    per row, about ``elems`` (default ``_TASK_ELEMS``) elements per slice."""
+    step = max(1, (elems or _TASK_ELEMS) // max(row_elems, 1))
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
@@ -172,17 +172,21 @@ def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
     usable core.
 
     A row's ranks do not depend on its block or thread, so they are the
-    same for any worker count.
+    same for any worker count. Rows that fit one task, such as a task's own
+    rows ranked inline in a pool thread, are ranked without a copy.
     """
+    # a task allocates its rows' n-wide ranks and, with group exclusion, an
+    # n-wide copy of their distances
+    width = d.shape[1] * (1 if groups is None else 2)
+    blocks = _row_blocks(len(rows), width)
+    if len(blocks) == 1:
+        return _rank_block(d, rows, depth, groups)
     out = np.empty((len(rows), depth), dtype=np.intp)
 
     def task(blk: slice) -> None:
         out[blk] = _rank_block(d, rows[blk], depth, groups)
 
-    # a task allocates its rows' n-wide ranks and, with group exclusion, an
-    # n-wide copy of their distances
-    width = d.shape[1] * (1 if groups is None else 2)
-    list(_map_blocks(task, _row_blocks(len(rows), width)))
+    list(_map_blocks(task, blocks))
     return out
 
 
@@ -308,8 +312,7 @@ def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves
     depth = nt.max_rank
 
     def counts(rows: slice) -> np.ndarray:
-        # ranked by _rank_block, not nt.ranked: a task holds no copy of its ranks
-        neigh = _rank_block(nt.distances, np.arange(rows.start, rows.stop), depth, nt.groups)
+        neigh = nt.ranked(rows, depth)
         return np.stack([(codes[neigh] == codes[rows, None]).sum(axis=0)
                          for codes in (ds.bio_codes, ds.conf_codes)])
 

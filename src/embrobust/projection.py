@@ -23,6 +23,8 @@ from .evaluation import AnalysisError
 from .neighbors import _rank_rows, _row_blocks, pairwise_distances
 
 _EPS = 1e-12
+# elements per row block that trustworthiness streams at once, serially
+_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def trustworthiness(
     # tie rule: 1 + #{m : dh[i, m] < dh[i, j], or equal with m < j}
     cols = np.arange(n)
     penalty = 0
-    for rows in _row_blocks(n, n * k):
+    for rows in _row_blocks(n, n * k, _BLOCK_ELEMS):
         low = _rank_rows(dl[rows], k)[:, :, None]
         high = dh[rows][:, None, :]
         at = np.take_along_axis(high, low, axis=2)

@@ -153,9 +153,9 @@ def reference_vote(neighbor_codes, k, n_classes):
 def test_grid_vote_equals_per_k_vote():
     rng = np.random.default_rng(61)
     ks = np.array([1, 2, 3, 4, 7, 8, 31, 64])
-    for n_classes in (2, 3, 7):
+    for n_classes in (2, 3, 7, 90):  # more classes than columns too
         codes = rng.integers(n_classes, size=(400, 64))
-        grid = _grid_vote(codes, _grid_counts(codes, n_classes, ks))
+        grid = _grid_vote(codes, _grid_counts(codes, n_classes, ks), ks)
         for g, k in enumerate(ks):
             np.testing.assert_array_equal(grid[:, g], reference_vote(codes, k, n_classes))
 
@@ -176,7 +176,7 @@ def test_grid_vote_equals_brute_force_on_many_ties():
     for n_classes in (2, 3, 5):
         codes = rng.integers(n_classes, size=(300, 24))
         counts = _grid_counts(codes, n_classes, ks)
-        grid = _grid_vote(codes, counts)
+        grid = _grid_vote(codes, counts, ks)
         tied = 0
         for g, k in enumerate(ks):
             top = counts[:, g].max(axis=1, keepdims=True)
@@ -704,6 +704,19 @@ def test_ensemble_needs_a_seed():
         confounder_analysis(ds, nt, seeds=(), k_grid=(1, 2))
     with pytest.raises(AnalysisError, match="at least one seed"):
         center_error_relation(ds, nt, seeds=(), k_grid=(1, 2))
+
+
+def test_ensemble_votes_equal_knn_predict_and_conf_votes_only_when_asked():
+    ds = make_synth(seed=4, n_bio=3, n_conf=4, per_cell=9, dim=12, noise_sigma=1.0)
+    nt = build_neighbor_table(ds)
+    ks = np.array([1, 2, 5, 9])
+    assert next(evaluation._knn_ensemble(ds, nt, 5, ks, (3,))).pred_conf is None
+    for run in evaluation._knn_ensemble(ds, nt, 5, ks, (3, 8), conf_votes=True):
+        for g, k in enumerate(ks):
+            for target, pred, classes in (("bio", run.pred, ds.bio_classes),
+                                          ("conf", run.pred_conf, ds.conf_classes)):
+                probe = knn_predict(ds, nt, run.folds, target, k=int(k))
+                assert probe.predictions == tuple(classes[c] for c in pred[:, g])
 
 
 # ---------------------------------------------------------------------------
