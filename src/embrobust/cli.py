@@ -130,6 +130,11 @@ def _check_logreg(lam: float, max_iter: int) -> None:
         raise UsageError(f"--logreg-max-iter must be >= 1, got {max_iter}")
 
 
+def _check_folds(n_folds: int) -> None:
+    if n_folds < 2:
+        raise UsageError(f"--folds must be >= 2, got {n_folds}")
+
+
 def _rep_seeds(seed: int, reps: int) -> tuple[int, ...]:
     return tuple(seed + r for r in range(reps))
 
@@ -143,9 +148,11 @@ def cmd_synth(args) -> int:
     for pair in (args.empty_cells.split(",") if args.empty_cells else []):
         try:
             b, c = (int(v) for v in pair.split(":"))
-            counts[b, c] = 0
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad --empty-cells entry {pair!r}") from exc
+        if not (0 <= b < args.n_bio and 0 <= c < args.n_conf):
+            raise UsageError(f"bad --empty-cells entry {pair!r}")
+        counts[b, c] = 0
     try:
         spec = SynthSpec(n_bio=args.n_bio, n_conf=args.n_conf, per_cell=counts,
                          dim=args.dim, bio_strength=args.bio_strength,
@@ -305,6 +312,7 @@ def cmd_eval(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     _check_logreg(args.lam, args.logreg_max_iter)
+    _check_folds(args.folds)
     targets = ("bio", "conf") if args.target == "both" else (args.target,)
     ds = _load(args)
     coords = _load_coords(args.coords, ds) if args.coords else None
@@ -343,6 +351,7 @@ def cmd_confounders(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     k_grid = _parse_k_grid(args.k_grid)
+    _check_folds(args.folds)
     ds = _load(args)
     restricted = restrict_for_confounders(ds)
     nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group)
@@ -384,6 +393,9 @@ def cmd_confounders(args) -> int:
 
 
 def cmd_tsne(args) -> int:
+    if args.tsne_iters < args.tsne_early_iters:
+        raise UsageError(f"--tsne-iters must cover --tsne-early-iters, got "
+                         f"{args.tsne_iters} < {args.tsne_early_iters}")
     ds = _load(args)
     if ds.n < 10:
         raise UsageError(f"t-SNE needs at least 10 samples, got {ds.n}")
@@ -423,6 +435,7 @@ def cmd_relation(args) -> int:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     k_grid = _parse_k_grid(args.k_grid)
     _check_logreg(args.lam, args.logreg_max_iter)
+    _check_folds(args.folds)
     ds = _load(args)
     nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
     seeds = _rep_seeds(args.seed, args.reps)

@@ -135,15 +135,27 @@ def _take_training(sub: np.ndarray, ok: np.ndarray, depth: int) -> np.ndarray:
     return sub[keep].reshape(-1, depth)
 
 
-class _TooFewTraining(AnalysisError):
-    """A sample of ``fold`` has only ``available`` (< k) training neighbors."""
+def _check_training_size(nt: NeighborTable, folds: FoldAssignment, k: int) -> None:
+    """Raise ``AnalysisError`` unless every sample has k training-fold
+    neighbors, naming the first fold with a sample short of them and the
+    fewest any sample of that fold has; nothing is ranked.
 
-    def __init__(self, k: int, fold: int, available: int):
-        super().__init__(
-            f"k={k} exceeds training-fold size ({available} "
+    Sample i's count is ``nt.limit[i]`` less its fold's size plus its
+    (group, fold) cell's, both counting i; an ungrouped sample is a cell
+    of its own.
+    """
+    fold_of = folds.fold_of
+    avail = nt.limit - np.bincount(fold_of)[fold_of] + 1
+    if nt.groups is not None:
+        grouped = nt.groups >= 0
+        cell = nt.groups[grouped] * folds.n_folds + fold_of[grouped]
+        avail[grouped] += np.bincount(cell)[cell] - 1
+    short = avail < k
+    if short.any():
+        fold = int(fold_of[short].min())
+        raise AnalysisError(
+            f"k={k} exceeds training-fold size ({int(avail[fold_of == fold].min())} "
             f"training neighbors available for some sample in fold {fold})")
-        self.fold = fold
-        self.available = available
 
 
 def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
@@ -155,9 +167,8 @@ def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
     Row i holds the ``depth`` nearest neighbors of the i-th given sample among
     samples outside its own fold, in rank order, read from ``ranked``, the
     first columns of every row of ``nt``'s ranking. Rows whose columns there
-    hold fewer are ranked in full. If some sample has fewer in all, raises
-    ``_TooFewTraining`` for the first such fold, with the fewest training
-    neighbors any of the given samples of that fold has.
+    hold fewer are ranked in full, which holds ``depth`` of them once
+    ``_check_training_size(nt, folds, depth)`` has passed.
     """
     fold_of = folds.fold_of
 
@@ -172,13 +183,8 @@ def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
         return _take_training(sub, ok, depth)
     deep_rows = np.arange(nt.n)[rows][short]
     deep = nt.ranked(deep_rows, nt.n - 1)
-    deep_ok = usable(deep_rows, deep)
-    avail = deep_ok.sum(axis=1)
-    if avail.min() < depth:
-        fold = int(fold_of[deep_rows[avail < depth]].min())
-        raise _TooFewTraining(depth, fold, int(avail[fold_of[deep_rows] == fold].min()))
     out = np.empty((len(sub), depth), dtype=np.intp)
-    out[short] = _take_training(deep, deep_ok, depth)
+    out[short] = _take_training(deep, usable(deep_rows, deep), depth)
     out[~short] = _take_training(sub[~short], ok[~short], depth)
     return out
 
@@ -187,25 +193,16 @@ def _vote_blocks(nt: NeighborTable, ranked: np.ndarray, folds: FoldAssignment,
                  depth: int, vote) -> None:
     """``vote(rows, prefix)`` for every row block of ``nt``, as tasks on the
     ranking pool; ``prefix`` is the ``_training_neighbor_prefix`` of the
-    block's rows, and ``vote`` writes only those rows of its outputs.
-
-    Raises the ``AnalysisError`` of the first fold with a sample that has
-    fewer than ``depth`` training neighbors, as one serial pass would.
+    block's rows, and ``vote`` writes only those rows of its outputs. The
+    caller has checked ``_check_training_size(nt, folds, depth)``, so no
+    task raises an ``AnalysisError``.
     """
-    def task(rows: slice) -> _TooFewTraining | None:
-        try:
-            prefix = _training_neighbor_prefix(nt, ranked, folds, rows, depth)
-        except _TooFewTraining as exc:
-            return exc
-        vote(rows, prefix)
-        return None
+    def task(rows: slice) -> None:
+        vote(rows, _training_neighbor_prefix(nt, ranked, folds, rows, depth))
 
     # a task allocates its rows' training-fold test and running counts, each
     # as wide as ``ranked``
-    blocks = _row_blocks(nt.n, 2 * ranked.shape[1])
-    failed = [exc for exc in _map_blocks(task, blocks) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda exc: (exc.fold, exc.available))
+    list(_map_blocks(task, _row_blocks(nt.n, 2 * ranked.shape[1])))
 
 
 def _grid_counts(codes: np.ndarray, n_classes: int, ks: np.ndarray,
@@ -277,6 +274,7 @@ def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
     codes, classes = _target_codes(ds, target)
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
+    _check_training_size(nt, folds, k)
     ranked = nt.ranked(slice(None), knn_table_depth(k, folds.n_folds))
     pred = np.empty(ds.n, dtype=np.intp)
     ks = np.array([k])
@@ -523,22 +521,27 @@ def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
     in ``ks`` (strictly ascending), with the confounder votes too when
     ``conf_votes`` is set.
 
-    The rows are ranked once, for every seed. Each seed's rows then run as
-    row-block tasks on the ranking pool (``_vote_blocks``): a task takes its
-    rows' training-fold prefix of depth max(ks), their class counts at every
-    k from one cumulative per-class count, and their votes, and writes only
-    its rows of the seed's ``_KnnRun``. Seeds run one after another, so
-    memory holds one seed's outputs plus a block per pool thread; no
-    (n, max k) array is made.
+    Every seed's folds are assigned and checked (``_check_training_size``)
+    first, so a seed short of training neighbors raises before anything is
+    ranked. The rows are then ranked once, for every seed. Each seed's rows
+    run as row-block tasks on the ranking pool (``_vote_blocks``): a task
+    takes its rows' training-fold prefix of depth max(ks), their class
+    counts at every k from one cumulative per-class count, and their votes,
+    and writes only its rows of the seed's ``_KnnRun``. Seeds run one after
+    another, so memory holds one seed's outputs plus a block per pool
+    thread; no (n, max k) array is made.
     """
     if len(seeds) == 0:
         raise AnalysisError("the kNN-run ensemble needs at least one seed")
     max_k = int(ks[-1])
     n_bio, n_conf = len(ds.bio_classes), len(ds.conf_classes)
+    seed_folds = [assign_folds(ds, n_folds, seed) for seed in seeds]
+    for folds in seed_folds:
+        _check_training_size(nt, folds, max_k)
     ranked = nt.ranked(slice(None), knn_table_depth(max_k, n_folds))
     shape = (ds.n, len(ks))
-    for seed in seeds:
-        run = _KnnRun(assign_folds(ds, n_folds, seed), np.empty(shape, np.intp),
+    for folds in seed_folds:
+        run = _KnnRun(folds, np.empty(shape, np.intp),
                       np.empty(shape, np.intp) if conf_votes else None,
                       np.empty((*shape, n_bio), np.intp), np.empty((*shape, n_bio), np.intp))
 
@@ -629,10 +632,7 @@ def center_error_relation(
     rows = np.arange(ds.n)
 
     center_err_runs = np.zeros(ds.n, dtype=np.int64)
-    first_folds: FoldAssignment | None = None
     for run in _knn_ensemble(ds, nt, n_folds, ks, seeds):
-        if first_folds is None:
-            first_folds = run.folds
         miss = run.pred != ds.bio_codes[:, None]
         # neighbors carrying a wrong label and the sample's confounder label
         both = run.same_center.sum(axis=2) - run.same_center[rows, :, ds.bio_codes]
@@ -641,7 +641,8 @@ def center_error_relation(
 
     fraction = center_err_runs / (len(seeds) * len(k_grid))
 
-    logreg = logreg_cv(ds, first_folds, "bio", lam=lam, max_iter=logreg_max_iter)
+    logreg = logreg_cv(ds, assign_folds(ds, n_folds, seeds[0]), "bio", lam=lam,
+                       max_iter=logreg_max_iter)
     logreg_wrong = ~logreg.correct
 
     edges = np.linspace(0.0, 1.0, 11)

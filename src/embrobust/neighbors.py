@@ -13,12 +13,16 @@ largest k. Rows that need more are ranked deeper from the same bits.
 
 Row blocks run as tasks on every core in the process's CPU affinity
 (``_workers``), on the threads of one pool (``_map_blocks``): ranking, the
-per-rank counts of ``frequency_curves``, and the kNN probe and kNN-run
-ensemble of ``evaluation``. Each task writes or returns only its own rows'
-results, so they are the same for any worker count, and ``taskset -c 0``
-makes every stage serial. Tasks requested from a pool thread (a curve
-task ranking its rows, the deep re-rank of a kNN task's short rows) run
-inline in that thread, so a task never waits on its own pool.
+per-rank counts of ``frequency_curves``, the kNN probe and kNN-run
+ensemble of ``evaluation``, and ``projection.trustworthiness``. Every
+stage sizes its tasks with ``_row_blocks`` and each task is a pure
+function of its rows: it writes or returns only its own rows' results, so
+they are the same for any worker count, and ``taskset -c 0`` makes every
+stage serial. No task raises an analysis error: the kNN analyses check
+each sample's training-neighbor count before they rank. Tasks requested
+from a pool thread (a curve task ranking its rows, the deep re-rank of a
+kNN task's short rows) run inline in that thread, so a task never waits
+on its own pool.
 
 Memory: the n×n float64 distance matrix, held by the table, plus during an
 analysis call the (n, depth) ranks and, per pool thread, the temporaries of
@@ -50,10 +54,10 @@ from .dataset import EmbeddingDataset
 _TASK_ELEMS = 1 << 17
 
 
-def _row_blocks(n_rows: int, row_elems: int, elems: int | None = None) -> list[slice]:
+def _row_blocks(n_rows: int, row_elems: int) -> list[slice]:
     """Consecutive row slices for work that allocates ``row_elems`` elements
-    per row, about ``elems`` (default ``_TASK_ELEMS``) elements per slice."""
-    step = max(1, (elems or _TASK_ELEMS) // max(row_elems, 1))
+    per row, about ``_TASK_ELEMS`` elements per slice."""
+    step = max(1, _TASK_ELEMS // max(row_elems, 1))
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
@@ -307,9 +311,14 @@ def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves
     """Per-rank same-label fractions over ranks 1..nt.max_rank.
 
     Each row-block task ranks its rows and returns their per-rank counts,
-    so no (n, max_rank) table is held.
+    so no (n, max_rank) table is held. Raises ``ValueError`` when no rank is
+    usable by every sample, which group exclusion causes when one group
+    holds every sample.
     """
     depth = nt.max_rank
+    if depth == 0:
+        raise ValueError("no neighbor rank is usable by every sample under group "
+                         f"exclusion (one group holds all {nt.n} samples)")
 
     def counts(rows: slice) -> np.ndarray:
         neigh = nt.ranked(rows, depth)

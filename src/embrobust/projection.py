@@ -20,11 +20,9 @@ import numpy as np
 
 from .dataset import EmbeddingDataset
 from .evaluation import AnalysisError
-from .neighbors import _rank_rows, _row_blocks, pairwise_distances
+from .neighbors import _map_blocks, _rank_rows, _row_blocks, pairwise_distances
 
 _EPS = 1e-12
-# elements per row block that trustworthiness streams at once, serially
-_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,9 @@ def trustworthiness(
     Penalizes points that are k-nearest neighbors in the projection but not
     in the original space, weighted by how far down the original ranking
     they sit. Both spaces are ranked under Euclidean distance, so the score
-    is invariant to rigid motions of the coordinates.
+    is invariant to rigid motions of the coordinates. Each row-block task on
+    the ranking pool returns its rows' penalty, an exact integer, so the
+    score is the same for any worker count.
     """
     X = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -254,12 +254,15 @@ def trustworthiness(
     # high-space rank of each of the k low-space neighbors j of i, under the
     # tie rule: 1 + #{m : dh[i, m] < dh[i, j], or equal with m < j}
     cols = np.arange(n)
-    penalty = 0
-    for rows in _row_blocks(n, n * k, _BLOCK_ELEMS):
+
+    def block_penalty(rows: slice) -> int:
         low = _rank_rows(dl[rows], k)[:, :, None]
         high = dh[rows][:, None, :]
         at = np.take_along_axis(high, low, axis=2)
         before = (high < at) | ((high == at) & (cols < low))
         ranks = before.sum(axis=2) + 1
-        penalty += int(np.maximum(ranks - k, 0).sum())
+        return int(np.maximum(ranks - k, 0).sum())
+
+    # a task allocates its rows' (k, n) comparison arrays
+    penalty = sum(_map_blocks(block_penalty, _row_blocks(n, n * k)))
     return float(1.0 - 2.0 * penalty / (n * k * (2.0 * n - 3.0 * k - 1.0)))

@@ -432,9 +432,11 @@ def test_tsne_too_small_exits_2(tmp_path):
      "early exaggeration factor must be a finite number > 0, got -1.0"),
     (["--tsne-early-factor", "inf"],
      "early exaggeration factor must be a finite number > 0, got inf"),
+    (["--tsne-iters", "100", "--tsne-early-iters", "250"],
+     "--tsne-iters must cover --tsne-early-iters, got 100 < 250"),
 ], ids=["no_iterations", "perplexity_zero", "perplexity_negative", "perplexity_nan",
         "negative_early_iters", "lr_zero", "lr_negative", "early_factor_negative",
-        "early_factor_inf"])
+        "early_factor_inf", "iters_below_early"])
 def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
     data = workspace / "data"
     out = tmp_path / "out"
@@ -443,6 +445,16 @@ def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
                  "--out-dir", str(out), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.fixture
+def nothing_loaded(monkeypatch):
+    """Fail the test if the subcommand loads data or builds a neighbor table."""
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran")
+
+    monkeypatch.setattr(cli, "build_neighbor_table", no_analysis)
+    monkeypatch.setattr(cli, "load_dataset", no_analysis)
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -456,18 +468,60 @@ def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
 ])
 @pytest.mark.parametrize("argv", [["eval"], ["relation", "--k-grid", "1,2", "--reps", "1"]],
                          ids=["eval", "relation"])
-def test_bad_lambda_exits_2(workspace, tmp_path, capsys, monkeypatch, argv, flags, message):
+def test_bad_lambda_exits_2(workspace, tmp_path, capsys, nothing_loaded, argv, flags,
+                            message):
     """A bad --lambda or --logreg-max-iter is rejected before any analysis runs."""
-    def no_analysis(*args, **kwargs):
-        raise AssertionError("an analysis ran")
-
-    monkeypatch.setattr(cli, "build_neighbor_table", no_analysis)
-    monkeypatch.setattr(cli, "load_dataset", no_analysis)
     data = workspace / "data"
     out = tmp_path / "out"
     assert main([*argv, "--manifest", str(data / "manifest.csv"),
                  "--embeddings", str(data / "embeddings.bin"),
                  *flags, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param([sub, "--folds", "1"], "--folds must be >= 2, got 1", id=sub)
+    for sub in ("eval", "confounders", "relation")
+] + [
+    pytest.param(["tsne", "--tsne-iters", "100", "--tsne-early-iters", "250"],
+                 "--tsne-iters must cover --tsne-early-iters, got 100 < 250", id="tsne"),
+])
+def test_flag_errors_exit_2_before_loading(workspace, tmp_path, capsys, nothing_loaded,
+                                           argv, message):
+    data = workspace / "data"
+    out = tmp_path / "out"
+    assert main([*argv, "--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin"),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cells", ["-1:0", "0:-1", "0:2"])
+def test_synth_rejects_empty_cells_outside_the_grid(tmp_path, capsys, cells):
+    out = tmp_path / "out"
+    assert main(["synth", "--out-dir", str(out), "--n-bio", "2", "--n-conf", "2",
+                 "--per-cell", "6", "--dim", "8", f"--empty-cells={cells}"]) == 2
+    assert capsys.readouterr().err == f"error: bad --empty-cells entry {cells!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curves"], "no neighbor rank is usable by every sample under group exclusion "
+                 "(one group holds all 108 samples)"),
+    (["index", "--k", "5"], "k=5 exceeds usable neighbor depth 0"),
+], ids=["curves", "index"])
+def test_one_group_under_exclusion_exits_2(workspace, tmp_path, capsys, argv, message):
+    """With every sample in one group, group exclusion leaves no usable rank."""
+    ds = _dataset(workspace)
+    one_group = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels,
+                                             ds.conf_labels, ["g"] * ds.n)
+    save_dataset(one_group, tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
+    out = tmp_path / "out"
+    assert main([*argv, "--manifest", str(tmp_path / "manifest.csv"),
+                 "--embeddings", str(tmp_path / "embeddings.bin"),
+                 "--exclude-same-group", "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

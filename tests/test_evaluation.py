@@ -13,7 +13,8 @@ from embrobust import (AnalysisError, EmbeddingDataset, LogRegModel, SynthSpec,
                        knn_predict, logreg_cv, logreg_fit, logreg_predict,
                        restrict_for_confounders, robustness_index)
 from embrobust import evaluation, neighbors
-from embrobust.evaluation import (FoldAssignment, _grid_counts, _grid_vote,
+from embrobust.evaluation import (FoldAssignment, _check_training_size,
+                                  _grid_counts, _grid_vote,
                                   _training_neighbor_prefix, knn_table_depth,
                                   softmax_loss_grad)
 
@@ -215,8 +216,9 @@ def test_training_prefix_ranks_deeper_when_stored_prefix_is_short(monkeypatch):
         assert predictions[0] == predictions[1]
     messages = []
     for ranked in (shallow, full):
+        rank_depth(monkeypatch, ranked.shape[1])
         with pytest.raises(AnalysisError, match="exceeds training-fold size") as exc:
-            _training_neighbor_prefix(nt, ranked, folds, rows, 40)
+            knn_predict(ds, nt, folds, "bio", 40)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -324,6 +326,75 @@ def test_knn_k_exceeds_training_fold(monkeypatch):
             with pytest.raises(AnalysisError) as exc:
                 run()
             assert str(exc.value) == expected
+
+
+def training_neighbor_counts(ds, folds, grouped):
+    """Each sample's training neighbors, counted pair by pair: the samples
+    of other folds, less those sharing its group id under group exclusion."""
+    f, g = folds.fold_of, ds.group_ids
+    return np.array([sum(1 for j in range(ds.n) if f[j] != f[i]
+                         and not (grouped and g[i] and g[j] == g[i]))
+                     for i in range(ds.n)])
+
+
+def test_training_size_check_equals_brute_force_count():
+    """``_check_training_size`` counts each sample's training neighbors in
+    closed form; a brute-force count gives the same pass or message, on
+    grouped and ungrouped data with uneven and empty folds and a random k,
+    and so does ``knn_predict``."""
+    rng = np.random.default_rng(29)
+    raised = 0
+    for case in range(80):
+        n = int(rng.integers(4, 30))
+        ds = make_random_dataset(seed=case, n=n, dim=3)
+        grouped = case % 2 == 1
+        if grouped:  # ungrouped samples and groups of uneven sizes
+            groups = ["" if g < 0 else f"g{g}" for g in rng.integers(-1, n // 3 + 1, size=n)]
+            ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels,
+                                              ds.conf_labels, groups)
+        nt = build_neighbor_table(ds, exclude_same_group=grouped)
+        n_folds = int(rng.integers(2, 7))
+        used = rng.choice(n_folds, size=int(rng.integers(1, n_folds + 1)), replace=False)
+        folds = FoldAssignment(rng.choice(used, size=n), n_folds)
+        k = int(rng.integers(1, n))
+        fold_of = folds.fold_of
+        avail = training_neighbor_counts(ds, folds, grouped)
+        expected = None
+        if (avail < k).any():
+            fold = int(fold_of[avail < k].min())
+            expected = (f"k={k} exceeds training-fold size ({avail[fold_of == fold].min()} "
+                        f"training neighbors available for some sample in fold {fold})")
+        for check in (lambda: _check_training_size(nt, folds, k),
+                      lambda: knn_predict(ds, nt, folds, "bio", k)):
+            if expected is None:
+                check()
+            else:
+                with pytest.raises(AnalysisError) as exc:
+                    check()
+                assert str(exc.value) == expected
+        raised += expected is not None
+    assert 20 < raised < 60
+
+
+def test_training_shortfall_raises_before_ranking(monkeypatch):
+    """A kNN analysis short of training neighbors under any seed's folds
+    ranks nothing, also when the first seed has enough."""
+    ds = grouped_confounded_ds()
+    nt = build_neighbor_table(ds, exclude_same_group=True)
+    fewest = [training_neighbor_counts(ds, assign_folds(ds, 5, seed), True).min()
+              for seed in (7, 3)]
+    assert fewest == [55, 54]
+
+    def no_ranking(*args):
+        raise AssertionError("rows were ranked")
+
+    monkeypatch.setattr(neighbors, "_rank", no_ranking)
+    runs = [lambda: knn_predict(ds, nt, assign_folds(ds, 5, 3), "bio", 55),
+            lambda: confounder_analysis(ds, nt, (7, 3), k_grid=(1, 55)),
+            lambda: center_error_relation(ds, nt, (7, 3), k_grid=(1, 55))]
+    for run in runs:
+        with pytest.raises(AnalysisError, match="^k=55 exceeds training-fold size"):
+            run()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from embrobust import (AnalysisError, EmbeddingDataset, TsneConfig,
                        assign_folds, build_neighbor_table, knn_predict,
                        perplexity_calibration, trustworthiness, tsne)
-from embrobust import projection
+from embrobust import neighbors
 from embrobust.neighbors import pairwise_distances
 from embrobust.projection import joint_affinities, kl_divergence_and_grad
 
@@ -260,13 +260,17 @@ def test_trustworthiness_matches_brute_force(cluster_projection):
 
 def test_trustworthiness_tie_rule_on_integer_grid(monkeypatch):
     # integer points: distances are exact in both computations and tie
-    # heavily (duplicate points included), so the lower-index rule decides
-    monkeypatch.setattr(projection, "_BLOCK_ELEMS", 2000)  # many row blocks
+    # heavily (duplicate points included), so the lower-index rule decides,
+    # whichever worker runs each row block
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 2000)  # many row blocks
     rng = np.random.default_rng(23)
     X = rng.integers(0, 3, size=(90, 4)).astype(float)
     Y = rng.integers(0, 4, size=(90, 2)).astype(float)
     for k in (1, 5, 12, 44):
-        assert trustworthiness(X, Y, k) == reference_trustworthiness(X, Y, k)
+        expected = reference_trustworthiness(X, Y, k)
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+            assert trustworthiness(X, Y, k) == expected
 
 
 def test_trustworthiness_matches_sklearn(cluster_projection):
