@@ -41,6 +41,11 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # every parse error: one line, exit 2
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # run manifests and serialization helpers
 # ---------------------------------------------------------------------------
@@ -113,30 +118,26 @@ def _conf_colors(ds: EmbeddingDataset) -> dict[str, str]:
     return {c: CONF_PALETTE[i % len(CONF_PALETTE)] for i, c in enumerate(ds.conf_classes)}
 
 
+def _at_least(kind, lo, strict=False):
+    """argparse ``type``: a ``kind`` value >= ``lo`` (> ``lo`` when ``strict``), and
+    finite if a float. Ints compare as ints: a 400-digit one never becomes a float."""
+    what = f"{'a finite number' if kind is float else 'an integer'} {'>' if strict else '>='} {lo}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if (value is None or value < lo or (strict and value == lo)
+                or (kind is float and not math.isfinite(value))):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_k_grid(text: str) -> tuple[int, ...]:
-    try:
-        grid = tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --k-grid {text!r}: {exc}") from exc
-    if not grid or any(k < 1 for k in grid):
-        raise UsageError("--k-grid values must be integers >= 1")
-    return grid
-
-
-def _check_logreg(lam: float, max_iter: int) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise UsageError(f"lambda must be a finite number >= 0, got {lam}")
-    if max_iter < 1:
-        raise UsageError(f"--logreg-max-iter must be >= 1, got {max_iter}")
-
-
-def _check_folds(n_folds: int) -> None:
-    if n_folds < 2:
-        raise UsageError(f"--folds must be >= 2, got {n_folds}")
-
-
-def _rep_seeds(seed: int, reps: int) -> tuple[int, ...]:
-    return tuple(seed + r for r in range(reps))
+    return tuple(map(_at_least(int, 1), text.split(",")))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def _rep_seeds(seed: int, reps: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    counts = np.full((args.n_bio, args.n_conf), args.per_cell, dtype=np.int64)
+    counts = args.per_cell  # a grid only once a cell is emptied: generate sizes first
     for pair in (args.empty_cells.split(",") if args.empty_cells else []):
         try:
             b, c = (int(v) for v in pair.split(":"))
@@ -152,6 +153,8 @@ def cmd_synth(args) -> int:
             raise UsageError(f"bad --empty-cells entry {pair!r}") from exc
         if not (0 <= b < args.n_bio and 0 <= c < args.n_conf):
             raise UsageError(f"bad --empty-cells entry {pair!r}")
+        if np.ndim(counts) == 0:
+            counts = np.full((args.n_bio, args.n_conf), args.per_cell, dtype=np.int64)
         counts[b, c] = 0
     try:
         spec = SynthSpec(n_bio=args.n_bio, n_conf=args.n_conf, per_cell=counts,
@@ -180,9 +183,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _index_entry(name: str, manifest: str, embeddings: str, args) -> dict:
+    """One model's report; its dataset and n×n table are freed on return."""
+    ds = load_dataset(manifest, embeddings)
+    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
+    report = robustness_index(ds, nt, args.k)
+    return {"name": name, **report.to_dict(), "r_k_display": report.r_k_display}
+
+
 def cmd_index(args) -> int:
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     manifests = args.manifest or []
     embeddings = args.embeddings or []
     if not manifests or len(manifests) != len(embeddings):
@@ -193,13 +202,8 @@ def cmd_index(args) -> int:
     if not names:
         names = [Path(m).parent.name or Path(m).stem for m in manifests]
 
-    entries = []
-    for name, mpath, epath in zip(names, manifests, embeddings):
-        ds = load_dataset(mpath, epath)
-        nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
-        report = robustness_index(ds, nt, args.k)
-        entries.append({"name": name, **report.to_dict(),
-                        "r_k_display": report.r_k_display})
+    entries = [_index_entry(name, mpath, epath, args)
+               for name, mpath, epath in zip(names, manifests, embeddings)]
     run = _make_run("index", {"k": args.k, "exclude_same_group": args.exclude_same_group},
                     {"manifests": manifests, "embeddings": embeddings, "names": names})
     ranked = sorted(entries, key=lambda e: e["r_k"])
@@ -267,6 +271,8 @@ def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
         raise DatasetError(f"cannot read coords {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise DatasetError(f"{path}: coords file is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     missing = [i for i in ds.ids if i not in rows]
     if missing:
         raise DatasetError(f"{path}: missing coords for {len(missing)} samples "
@@ -307,12 +313,6 @@ def _accuracy_scatter(block: dict, title: str, meta: str) -> str:
 
 
 def cmd_eval(args) -> int:
-    if args.target not in ("both", "bio", "conf"):
-        raise UsageError(f"--target must be bio, conf or both, got {args.target!r}")
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    _check_logreg(args.lam, args.logreg_max_iter)
-    _check_folds(args.folds)
     targets = ("bio", "conf") if args.target == "both" else (args.target,)
     ds = _load(args)
     coords = _load_coords(args.coords, ds) if args.coords else None
@@ -348,17 +348,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_confounders(args) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    k_grid = _parse_k_grid(args.k_grid)
-    _check_folds(args.folds)
     ds = _load(args)
     restricted = restrict_for_confounders(ds)
     nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group)
-    seeds = _rep_seeds(args.seed, args.reps)
-    report = confounder_analysis(restricted, nt, seeds, n_folds=args.folds, k_grid=k_grid)
+    seeds = tuple(range(args.seed, args.seed + args.reps))
+    report = confounder_analysis(restricted, nt, seeds, n_folds=args.folds,
+                                 k_grid=args.k_grid)
     run = _make_run("confounders", {
-        "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
+        "k_grid": list(args.k_grid), "reps": args.reps, "folds": args.folds,
         "seed": args.seed, "rep_seeds": list(seeds),
         "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
@@ -431,19 +428,14 @@ def cmd_tsne(args) -> int:
 
 
 def cmd_relation(args) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    k_grid = _parse_k_grid(args.k_grid)
-    _check_logreg(args.lam, args.logreg_max_iter)
-    _check_folds(args.folds)
     ds = _load(args)
     nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
-    seeds = _rep_seeds(args.seed, args.reps)
+    seeds = tuple(range(args.seed, args.seed + args.reps))
     rel = center_error_relation(
-        ds, nt, seeds, k_grid=k_grid, lam=args.lam, n_folds=args.folds,
+        ds, nt, seeds, k_grid=args.k_grid, lam=args.lam, n_folds=args.folds,
         logreg_max_iter=args.logreg_max_iter)
     run = _make_run("relation", {
-        "k_grid": list(k_grid), "reps": args.reps, "folds": args.folds,
+        "k_grid": list(args.k_grid), "reps": args.reps, "folds": args.folds,
         "lambda": args.lam, "seed": args.seed, "rep_seeds": list(seeds),
         "logreg_max_iter": args.logreg_max_iter,
         "exclude_same_group": args.exclude_same_group,
@@ -478,11 +470,12 @@ def cmd_relation(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Each flag's rule is its ``type`` or ``choices``: checked before any input is read."""
+    parser = _Parser(
         prog="embrobust",
         description="Quantify biological vs confounder organization of embedding spaces")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", required=True, help="output directory")
@@ -497,17 +490,21 @@ def build_parser() -> argparse.ArgumentParser:
     grouping.add_argument("--exclude-same-group", action="store_true",
                           help="ignore neighbors sharing the sample's group id")
 
+    k_grid = dict(type=_parse_k_grid, default=",".join(str(k) for k in DEFAULT_K_GRID))
+    count, folds = _at_least(int, 1), _at_least(int, 2)
+    finite, positive = _at_least(float, 0), _at_least(float, 0, strict=True)
+
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic dataset")
-    p.add_argument("--n-bio", type=int, default=5)
-    p.add_argument("--n-conf", type=int, default=5)
-    p.add_argument("--per-cell", type=int, default=80)
+    p.add_argument("--n-bio", type=count, default=5)
+    p.add_argument("--n-conf", type=count, default=5)
+    p.add_argument("--per-cell", type=_at_least(int, 0), default=80)
     p.add_argument("--empty-cells", default="",
                    help="comma-separated bio:conf index pairs left empty")
-    p.add_argument("--dim", type=int, default=768)
-    p.add_argument("--bio-strength", type=float, default=1.0)
-    p.add_argument("--conf-strength", type=float, default=1.0)
-    p.add_argument("--noise-sigma", type=float, default=0.5)
+    p.add_argument("--dim", type=_at_least(int, 2), default=768)
+    p.add_argument("--bio-strength", type=finite, default=1.0)
+    p.add_argument("--conf-strength", type=finite, default=1.0)
+    p.add_argument("--noise-sigma", type=positive, default=0.5)
     p.add_argument("--embeddings-format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=cmd_synth)
 
@@ -516,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", action="append")
     p.add_argument("--embeddings", action="append")
     p.add_argument("--name", action="append", help="dataset display name")
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--k", type=count, default=DEFAULT_K)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("curves", parents=[common, one_ds, grouping],
@@ -525,48 +522,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common, one_ds, grouping],
                        help="cross-validated kNN and regression probes")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--target", default="both", help="bio, conf or both")
+    p.add_argument("--k", type=count, default=3)
+    p.add_argument("--lambda", dest="lam", type=finite, default=DEFAULT_LAMBDA)
+    p.add_argument("--folds", type=folds, default=5)
+    p.add_argument("--target", choices=["both", "bio", "conf"], default="both")
     p.add_argument("--coords", help="2D coords CSV to evaluate as alternate input")
-    p.add_argument("--logreg-max-iter", type=int, default=5000)
+    p.add_argument("--logreg-max-iter", type=count, default=5000)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("confounders", parents=[common, one_ds, grouping],
                        help="same-center confounder fractions")
-    p.add_argument("--k-grid", default=",".join(str(k) for k in DEFAULT_K_GRID))
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--k-grid", **k_grid)
+    p.add_argument("--reps", type=count, default=5)
+    p.add_argument("--folds", type=folds, default=5)
     p.set_defaults(func=cmd_confounders)
 
     p = sub.add_parser("tsne", parents=[common, one_ds],
                        help="2D projection with per-label colorings")
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--tsne-iters", type=int, default=1000)
-    p.add_argument("--tsne-early-iters", type=int, default=250)
-    p.add_argument("--tsne-early-factor", type=float, default=12.0)
-    p.add_argument("--tsne-lr", type=float, default=200.0)
+    p.add_argument("--perplexity", type=positive, default=30.0)
+    p.add_argument("--tsne-iters", type=count, default=1000)
+    p.add_argument("--tsne-early-iters", type=_at_least(int, 0), default=250)
+    p.add_argument("--tsne-early-factor", type=positive, default=12.0)
+    p.add_argument("--tsne-lr", type=positive, default=200.0)
     p.set_defaults(func=cmd_tsne)
 
     p = sub.add_parser("relation", parents=[common, one_ds, grouping],
                        help="center-related kNN errors vs regression errors")
-    p.add_argument("--k-grid", default=",".join(str(k) for k in DEFAULT_K_GRID))
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--logreg-max-iter", type=int, default=5000)
+    p.add_argument("--k-grid", **k_grid)
+    p.add_argument("--reps", type=count, default=5)
+    p.add_argument("--folds", type=folds, default=5)
+    p.add_argument("--lambda", dest="lam", type=finite, default=DEFAULT_LAMBDA)
+    p.add_argument("--logreg-max-iter", type=count, default=5000)
     p.set_defaults(func=cmd_relation)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -191,6 +191,10 @@ def _read_manifest(manifest_path: Path) -> list[tuple[str, str, str, str]]:
                 rows.append((row[0], row[1], row[2], row[3]))
     except OSError as exc:
         raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DatasetError(f"{manifest_path}: manifest is not UTF-8 text") from None
+    except csv.Error as exc:  # e.g. a field over csv's 128 KiB limit
+        raise DatasetError(f"{manifest_path}: {exc}") from None
     return rows
 
 
@@ -201,6 +205,8 @@ def _read_embeddings_binary(data: bytes, path: Path) -> np.ndarray:
     if version != BINARY_VERSION:
         raise DatasetError(f"{path}: unsupported version {version}")
     n, d = struct.unpack_from("<QQ", data, 8)
+    if n == 0 or d == 0:
+        raise DatasetError(f"{path}: empty {n}x{d} embedding matrix")
     expected = 24 + 4 * n * d
     if len(data) != expected:
         raise DatasetError(f"{path}: size {len(data)} bytes, expected {expected} for {n}x{d}")
@@ -211,21 +217,23 @@ def _read_embeddings_binary(data: bytes, path: Path) -> np.ndarray:
 def _read_embeddings_csv(text: str, path: Path) -> np.ndarray:
     rows: list[np.ndarray] = []
     dim: int | None = None
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if dim is None:
-            dim = len(parts)
-        elif len(parts) != dim:
-            raise DatasetError(
-                f"{path}: row {i} has {len(parts)} values, expected {dim}")
-        try:
-            values = np.array([float(p) for p in parts], dtype=np.float64)
-        except ValueError as exc:
-            raise DatasetError(f"{path}: row {i}: {exc}") from exc
-        # float32 is the canonical on-disk precision for both formats
-        rows.append(values.astype(np.float32).astype(np.float64))
+    # a value beyond float32's range casts to inf, which from_arrays reports
+    with np.errstate(over="ignore"):
+        for i, line in enumerate(text.splitlines()):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if dim is None:
+                dim = len(parts)
+            elif len(parts) != dim:
+                raise DatasetError(
+                    f"{path}: row {i} has {len(parts)} values, expected {dim}")
+            try:
+                values = np.array([float(p) for p in parts], dtype=np.float64)
+            except ValueError as exc:
+                raise DatasetError(f"{path}: row {i}: {exc}") from exc
+            # float32 is the canonical on-disk precision for both formats
+            rows.append(values.astype(np.float32).astype(np.float64))
     if not rows:
         raise DatasetError(f"{path}: no embedding rows")
     return np.array(rows)

@@ -9,6 +9,7 @@ makes this generator usable as a ground-truth oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,13 @@ def generate(spec: SynthSpec) -> EmbeddingDataset:
     """
     if spec.dim < 2:
         raise ValueError(f"dim must be >= 2, got {spec.dim}")
-    if spec.noise_sigma <= 0:
-        raise ValueError("noise_sigma must be positive")
-    if spec.bio_strength < 0 or spec.conf_strength < 0:
-        raise ValueError("signal strengths must be >= 0")
+    # written so that NaN fails too
+    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma > 0):
+        raise ValueError(f"noise_sigma must be a finite number > 0, got {spec.noise_sigma}")
+    for name in ("bio_strength", "conf_strength"):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"signal strengths must be finite and >= 0, got {name}={value}")
     counts = spec.cell_counts()
     if counts.sum() < 2:
         raise ValueError("need at least 2 samples in total")

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from embrobust import EmbeddingDataset, SynthSpec, generate
+
+# HYPOTHESIS_PROFILE=ci (set in CI) fixes the example sequence and prints a
+# reproduction blob with any failure, so a fuzz failure there reruns here.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Five-class / five-center composition mirroring the evaluation table of the
 # domain: rows = bio classes, cols = conf classes, 20 populated cells. The

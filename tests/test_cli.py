@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -372,7 +373,8 @@ def test_bad_target_usage_error(workspace, tmp_path, capsys):
                  "--embeddings", str(data / "embeddings.bin"),
                  "--target", "nope", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: --target must be bio, conf or both, got 'nope'\n"
+    assert err == ("error: argument --target: invalid choice: 'nope' "
+                   "(choose from 'both', 'bio', 'conf')\n")
 
 
 def test_eval_single_target(workspace, tmp_path):
@@ -421,23 +423,25 @@ def test_tsne_too_small_exits_2(tmp_path):
 
 @pytest.mark.parametrize("flags, message", [
     (["--perplexity", "5", "--tsne-iters", "0", "--tsne-early-iters", "0"],
-     "iterations must be >= 1, got 0"),
-    (["--perplexity", "0"], "perplexity must be a finite number > 0, got 0.0"),
-    (["--perplexity", "-3"], "perplexity must be a finite number > 0, got -3.0"),
-    (["--perplexity", "nan"], "perplexity must be a finite number > 0, got nan"),
-    (["--tsne-early-iters", "-1"], "early exaggeration iterations must be >= 0, got -1"),
-    (["--tsne-lr", "0"], "learning rate must be a finite number > 0, got 0.0"),
-    (["--tsne-lr", "-200"], "learning rate must be a finite number > 0, got -200.0"),
+     "argument --tsne-iters: must be an integer >= 1, got '0'"),
+    (["--perplexity", "0"], "argument --perplexity: must be a finite number > 0, got '0'"),
+    (["--perplexity", "-3"], "argument --perplexity: must be a finite number > 0, got '-3'"),
+    (["--perplexity", "nan"], "argument --perplexity: must be a finite number > 0, got 'nan'"),
+    (["--tsne-early-iters", "-1"],
+     "argument --tsne-early-iters: must be an integer >= 0, got '-1'"),
+    (["--tsne-lr", "0"], "argument --tsne-lr: must be a finite number > 0, got '0'"),
+    (["--tsne-lr", "-200"], "argument --tsne-lr: must be a finite number > 0, got '-200'"),
     (["--tsne-early-factor", "-1"],
-     "early exaggeration factor must be a finite number > 0, got -1.0"),
+     "argument --tsne-early-factor: must be a finite number > 0, got '-1'"),
     (["--tsne-early-factor", "inf"],
-     "early exaggeration factor must be a finite number > 0, got inf"),
+     "argument --tsne-early-factor: must be a finite number > 0, got 'inf'"),
     (["--tsne-iters", "100", "--tsne-early-iters", "250"],
      "--tsne-iters must cover --tsne-early-iters, got 100 < 250"),
 ], ids=["no_iterations", "perplexity_zero", "perplexity_negative", "perplexity_nan",
         "negative_early_iters", "lr_zero", "lr_negative", "early_factor_negative",
         "early_factor_inf", "iters_below_early"])
-def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, flags, message):
+def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, nothing_loaded, flags,
+                                  message):
     data = workspace / "data"
     out = tmp_path / "out"
     assert main(["tsne", "--manifest", str(data / "manifest.csv"),
@@ -458,12 +462,17 @@ def nothing_loaded(monkeypatch):
 
 
 @pytest.mark.parametrize("flags, message", [
-    pytest.param(["--lambda", "-1"], "lambda must be a finite number >= 0, got -1.0", id="-1"),
-    pytest.param(["--lambda", "nan"], "lambda must be a finite number >= 0, got nan", id="nan"),
-    pytest.param(["--lambda", "inf"], "lambda must be a finite number >= 0, got inf", id="inf"),
-    pytest.param(["--logreg-max-iter", "0"], "--logreg-max-iter must be >= 1, got 0",
+    pytest.param(["--lambda", "-1"],
+                 "argument --lambda: must be a finite number >= 0, got '-1'", id="-1"),
+    pytest.param(["--lambda", "nan"],
+                 "argument --lambda: must be a finite number >= 0, got 'nan'", id="nan"),
+    pytest.param(["--lambda", "inf"],
+                 "argument --lambda: must be a finite number >= 0, got 'inf'", id="inf"),
+    pytest.param(["--logreg-max-iter", "0"],
+                 "argument --logreg-max-iter: must be an integer >= 1, got '0'",
                  id="max-iter-0"),
-    pytest.param(["--logreg-max-iter", "-5"], "--logreg-max-iter must be >= 1, got -5",
+    pytest.param(["--logreg-max-iter", "-5"],
+                 "argument --logreg-max-iter: must be an integer >= 1, got '-5'",
                  id="max-iter--5"),
 ])
 @pytest.mark.parametrize("argv", [["eval"], ["relation", "--k-grid", "1,2", "--reps", "1"]],
@@ -481,7 +490,8 @@ def test_bad_lambda_exits_2(workspace, tmp_path, capsys, nothing_loaded, argv, f
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param([sub, "--folds", "1"], "--folds must be >= 2, got 1", id=sub)
+    pytest.param([sub, "--folds", "1"], "argument --folds: must be an integer >= 2, got '1'",
+                 id=sub)
     for sub in ("eval", "confounders", "relation")
 ] + [
     pytest.param(["tsne", "--tsne-iters", "100", "--tsne-early-iters", "250"],
@@ -496,6 +506,88 @@ def test_flag_errors_exit_2_before_loading(workspace, tmp_path, capsys, nothing_
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# one bad value for each flag that has a rule of its own
+FLAG_RULES = [
+    ("synth", "--n-bio", "0"), ("synth", "--n-conf", "-1"), ("synth", "--per-cell", "-1"),
+    ("synth", "--dim", "1"), ("synth", "--bio-strength", "nan"),
+    ("synth", "--conf-strength", "-0.5"), ("synth", "--noise-sigma", "0"),
+    ("index", "--k", "0"),
+    ("eval", "--k", "-2"), ("eval", "--lambda", "-0.001"), ("eval", "--folds", "1"),
+    ("eval", "--logreg-max-iter", "0"), ("eval", "--target", "all"),
+    ("confounders", "--k-grid", "1,0"), ("confounders", "--reps", "0"),
+    ("confounders", "--folds", "0"),
+    ("relation", "--k-grid", "2,x"), ("relation", "--reps", "-1"),
+    ("relation", "--folds", "1"), ("relation", "--lambda", "inf"),
+    ("relation", "--logreg-max-iter", "0"),
+    ("tsne", "--perplexity", "0"), ("tsne", "--tsne-lr", "nan"),
+    ("tsne", "--tsne-early-factor", "-1"), ("tsne", "--tsne-iters", "0"),
+    ("tsne", "--tsne-early-iters", "-1"),
+]
+
+
+@pytest.fixture
+def nothing_generated(nothing_loaded, monkeypatch):
+    """``nothing_loaded``, and fail the test if synth generates a dataset."""
+    def no_generation(*args, **kwargs):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(cli, "generate", no_generation)
+
+
+@pytest.mark.parametrize("sub, flag, value", FLAG_RULES,
+                         ids=[f"{sub}{flag}" for sub, flag, _ in FLAG_RULES])
+def test_every_flag_rule_rejects_at_parse_time(tmp_path, capsys, nothing_generated,
+                                               sub, flag, value):
+    """Each rule lives on its flag's declaration: one line naming the flag and
+    the value, exit 2, nothing loaded or generated, no out-dir."""
+    out = tmp_path / "out"
+    data = [] if sub == "synth" else ["--manifest", "m.csv", "--embeddings", "e.bin"]
+    assert main([sub, *data, flag, value, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    # --k-grid names its bad entry, the last one in these cases
+    assert err.startswith(f"error: argument {flag}: ") and repr(value.split(",")[-1]) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--k", "abc", "--manifest", "m.csv", "--embeddings", "e.bin", "--out-dir", "OUT"],
+     "argument --k: must be an integer >= 1, got 'abc'"),
+    (["curves", "--manifest", "m.csv", "--embeddings", "e.bin", "--out-dir", "OUT", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["eval", "--manifest", "m.csv"],
+     "the following arguments are required: --out-dir, --embeddings"),
+    (["synth", "--embeddings-format", "txt", "--out-dir", "OUT"],
+     "argument --embeddings-format: invalid choice: 'txt' (choose from 'binary', 'csv')"),
+    ([], "the following arguments are required: COMMAND"),
+], ids=["non_numeric", "unknown_flag", "missing_required", "bad_choice", "no_subcommand"])
+def test_parse_errors_are_one_line(tmp_path, capsys, nothing_generated, argv, message):
+    out = tmp_path / "out"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_index_holds_one_model_at_a_time(workspace, tmp_path, monkeypatch):
+    """When the table of model m is built, those of earlier models are freed."""
+    built = []
+
+    def build(ds, **kwargs):
+        assert all(ref() is None for ref in built), "an earlier model's table is alive"
+        nt = build_neighbor_table(ds, **kwargs)
+        built.append(weakref.ref(nt))
+        return nt
+
+    monkeypatch.setattr(cli, "build_neighbor_table", build)
+    data = workspace / "data"
+    flags = ["index", "--out-dir", str(tmp_path), "--k", "5"]
+    for _ in range(3):
+        flags += ["--manifest", str(data / "manifest.csv"),
+                  "--embeddings", str(data / "embeddings.bin")]
+    assert main(flags) == 0
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("cells", ["-1:0", "0:-1", "0:2"])
@@ -588,6 +680,36 @@ def test_eval_rejects_malformed_coords(workspace, tmp_path, capsys, edit, messag
     assert rc == 2
     assert err.count("\n") == 1
     assert f"{bad}: row " in err and message in err
+
+
+@pytest.mark.parametrize("manifest, embeddings, message", [
+    (b"sample_id,bio_label,conf_label,group_id\na,T,C,\n\xff,T,C,\n", b"1,0\n0,1\n",
+     "manifest.csv: manifest is not UTF-8 text"),
+    (b"sample_id,bio_label,conf_label,group_id\na,T,C,\nb,T,C,\n", b"1,0\n3.5e38,1\n",
+     "non-finite value in embedding row 1"),
+    (b"sample_id,bio_label,conf_label,group_id\n" + b"a" * 200_000 + b",T,C,\nb,T,C,\n",
+     b"1,0\n0,1\n", "manifest.csv: field larger than field limit"),
+], ids=["manifest_not_utf8", "beyond_float32", "field_over_csv_limit"])
+def test_malformed_input_is_one_line(tmp_path, capsys, manifest, embeddings, message):
+    (tmp_path / "manifest.csv").write_bytes(manifest)
+    (tmp_path / "emb.csv").write_bytes(embeddings)
+    out = tmp_path / "out"
+    assert main(["curves", "--manifest", str(tmp_path / "manifest.csv"),
+                 "--embeddings", str(tmp_path / "emb.csv"), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+    assert not out.exists()
+
+
+def test_eval_rejects_coords_field_over_csv_limit(workspace, tmp_path, capsys):
+    bad = tmp_path / "coords.csv"
+    bad.write_text("sample_id,x,y\n" + "s" * 200_000 + ",1,2\n")
+    data = workspace / "data"
+    assert main(["eval", "--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin"),
+                 "--coords", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {bad}: field larger than field limit (131072)\n"
 
 
 def test_eval_rejects_coords_that_are_not_utf8(workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from embrobust import (DatasetError, EmbeddingDataset, chance_levels,
                        class_count_matrix, load_dataset, save_dataset)
-from embrobust.dataset import (load_embeddings, write_embeddings_binary,
+from embrobust.dataset import (BINARY_MAGIC, load_embeddings, write_embeddings_binary,
                                write_embeddings_csv, write_manifest)
 
 from conftest import SPARSE_CELLS, make_random_dataset, make_synth
@@ -73,6 +74,22 @@ def test_non_finite_and_zero_vector(tmp_path):
         load_dataset(man, emb)
 
 
+def test_csv_value_beyond_float32_is_non_finite(tmp_path):
+    """3.5e38 casts to float32 inf without a numpy overflow warning (which this
+    suite turns into an error); the finite check alone reports it."""
+    man, emb = _write_files(tmp_path, ["a,T,C,", "b,T,C,"], ["1,0", "3.5e38,1"])
+    with pytest.raises(DatasetError, match="non-finite value in embedding row 1"):
+        load_dataset(man, emb)
+
+
+def test_manifest_that_is_not_utf8_names_the_file(tmp_path):
+    man, emb = _write_files(tmp_path, ["a,T,C,", "b,T,C,"], ["1,0", "0,1"])
+    man.write_bytes(man.read_bytes().replace(b"b,T", b"\xff,T"))
+    with pytest.raises(DatasetError, match="manifest is not UTF-8 text") as err:
+        load_dataset(man, emb)
+    assert str(err.value).startswith(f"{man}: ")
+
+
 def test_bad_header(tmp_path):
     man = tmp_path / "manifest.csv"
     man.write_text("id,bio,conf,group\na,T,C,\nb,T,C,\n")
@@ -113,6 +130,16 @@ def test_binary_format_errors(tmp_path):
                      + b"\x00" * 4)
     with pytest.raises(DatasetError, match="unsupported version"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("n, d", [(0, 2 ** 64 - 1), (2 ** 63, 0), (0, 0)])
+def test_binary_without_rows_or_columns(tmp_path, n, d):
+    """numpy cannot even shape (0, 2**64 - 1); the header check names the file."""
+    path = tmp_path / "emb.bin"
+    path.write_bytes(BINARY_MAGIC + struct.pack("<IQQ", 1, n, d))
+    with pytest.raises(DatasetError, match=f"empty {n}x{d} embedding matrix") as err:
+        load_embeddings(path)
+    assert str(path) in str(err.value)
 
 
 def test_binary_layout_is_little_endian_float32(tmp_path):

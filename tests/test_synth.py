@@ -71,6 +71,15 @@ def test_errors():
                            per_cell=np.array([[1, 0], [0, 0]]), dim=8))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["noise_sigma", "bio_strength", "conf_strength"])
+def test_non_finite_settings_name_their_field(field, value):
+    """NaN passes ``<= 0`` and ``< 0``; the checks reject it by name instead of
+    leaving a non-finite embedding to the dataset check."""
+    with pytest.raises(ValueError, match=f"{field}.*{value}"):
+        generate(SynthSpec(n_bio=2, n_conf=2, per_cell=2, dim=8, **{field: value}))
+
+
 def test_pure_bio_signal_hits_upper_bound():
     spec = SynthSpec(n_bio=5, n_conf=5, per_cell=40, dim=32,
                      bio_strength=1.0, conf_strength=0.0,
