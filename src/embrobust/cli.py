@@ -43,7 +43,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # every parse error: one line, exit 2
-        raise UsageError(message)
+        raise UsageError(message.replace("\r", "\\r").replace("\n", "\\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_at_least(int, 0), default=0)
 
     one_ds = argparse.ArgumentParser(add_help=False)
     one_ds.add_argument("--manifest", required=True)

@@ -211,7 +211,9 @@ def _read_embeddings_binary(data: bytes, path: Path) -> np.ndarray:
     if len(data) != expected:
         raise DatasetError(f"{path}: size {len(data)} bytes, expected {expected} for {n}x{d}")
     flat = np.frombuffer(data, dtype="<f4", count=n * d, offset=24)
-    return flat.reshape(n, d).astype(np.float64)
+    # a signalling NaN casts to a quiet one, which from_arrays reports
+    with np.errstate(invalid="ignore"):
+        return flat.reshape(n, d).astype(np.float64)
 
 
 def _read_embeddings_csv(text: str, path: Path) -> np.ndarray:

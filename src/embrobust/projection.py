@@ -5,10 +5,16 @@ distances in the embedding space (squared cosine distances, consistent with
 the toolkit-wide metric). Exact O(n^2) gradients keep the implementation
 small and make the finite-difference gradient check meaningful.
 
-Memory per gradient iteration: two n x n float64 work buffers, allocated
-once per run and overwritten in place, plus the affinity matrix P and,
-during early exaggeration, P times the exaggeration factor. No n x n array
-is allocated inside the loop.
+Each gradient iteration works through the row blocks of
+``neighbors._row_blocks``: a first sweep writes the Student-t kernel
+K = 1/(1 + d^2) into one n x n float64 buffer made once per run, a second
+builds the gradient from K in two block temporaries of about 1 MB together.
+The loop holds P and K, 2 * 8n^2 bytes (64 MB at n = 2000), and allocates
+no n x n array. The divergence is sum(P log P) + sum(P log(1 + d^2)) +
+log Z with Z = sum(K). While one block covers every row (n <= 256) a step
+rounds exactly as the dense formulas do; above that, every block product is
+small enough that OpenBLAS runs it on one thread, so the trajectory does not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,9 +27,6 @@ import numpy as np
 from .dataset import EmbeddingDataset
 from .evaluation import AnalysisError
 from .neighbors import _map_blocks, _rank_rows, _row_blocks, pairwise_distances
-
-_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class TsneConfig:
@@ -73,15 +76,19 @@ def perplexity_calibration(
             "using uniform affinities")
         return float("inf"), uniform
 
+    shifted = d - d.min()
+
     def entropy_probs(beta: float) -> tuple[float, np.ndarray]:
-        logits = -beta * (d - d.min())
-        p = np.exp(logits)
+        p = np.exp(-beta * shifted)
         s = p.sum()
         if s <= 0:
             return 0.0, None
         p /= s
-        nz = p > 0
-        h = -(p[nz] * np.log2(p[nz])).sum()
+        if p.min() > 0:  # nothing underflowed: no gathers
+            h = -(p * np.log2(p)).sum()
+        else:
+            nz = p > 0
+            h = -(p[nz] * np.log2(p[nz])).sum()
         return float(h), p
 
     target_entropy = np.log2(target_perplexity)
@@ -112,47 +119,60 @@ def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     zero diagonal, sums to 1."""
     n = sq_dists.shape[0]
     cond = np.zeros((n, n))
-    others = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        _, p_row = perplexity_calibration(sq_dists[i][others[i]], perplexity)
-        cond[i][others[i]] = p_row
+    for i, row in enumerate(sq_dists):
+        _, p_row = perplexity_calibration(np.concatenate((row[:i], row[i + 1:])), perplexity)
+        cond[i, :i] = p_row[:i]
+        cond[i, i + 1:] = p_row[i:]
     P = (cond + cond.T) / (2.0 * n)
     return P
 
 
-def _kl_step(P: np.ndarray, P_eff: np.ndarray, entropy: float, Y: np.ndarray,
-             num: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(P || Q) and the gradient of KL(P_eff || Q) at Y, allocating no n x n array.
+def _kl_step(P: np.ndarray, factor: float, entropy: float, Y: np.ndarray,
+             K: np.ndarray) -> tuple[float, np.ndarray]:
+    """KL(P || Q) and the gradient of KL(factor * P || Q) at Y, in row blocks.
 
-    ``num`` and ``Q`` are caller-owned (n, n) float64 work buffers; both are
-    overwritten. ``entropy`` is sum(P log P) over P > 0. Q is the Student-t
-    kernel 1/(1+d^2) with zero diagonal, normalized to sum 1. Each step
-    rounds exactly as the allocating expressions ``num = 1 / (1 + max(d^2,
-    0))``, ``Q = num / sum(num)``, ``M = (P_eff - Q) * num`` do, so the
-    trajectory does not depend on the buffers.
+    ``K`` is a caller-owned (n, n) float64 buffer, overwritten with the
+    kernel 1/(1+d^2) (zero diagonal); Q = K / Z. ``entropy`` is sum(P log P)
+    over P > 0. The first sweep writes each block's rows of K and adds to Z
+    and to sum(P log(1 + d^2)), every log finite as 1 + d^2 >= 1; the second
+    builds M = (factor * P - K / Z) * K per block, its row sums and M @ Y.
+    In one block each element rounds as ``num = 1 / (1 + max(d^2, 0))``,
+    ``M = (factor * P - num / sum(num)) * num`` and ``M @ Y`` do.
     """
+    n = Y.shape[0]
+    blocks = _row_blocks(n, 2 * n)
+    width = blocks[0].stop
+    work, M = np.empty((width, n)), np.empty((width, n))
     sq = (Y * Y).sum(axis=1)
-    num[...] = sq
-    num += sq[:, None]  # sq_i + sq_j; faster than np.add.outer into num
-    np.matmul(Y, Y.T, out=Q)
-    Q *= 2.0
-    num -= Q
-    np.clip(num, 0.0, None, out=num)
-    num += 1.0
-    np.reciprocal(num, out=num)
-    np.fill_diagonal(num, 0.0)
-    total = num.sum()
-    np.divide(num, total, out=Q)
-    M = np.subtract(P_eff, Q, out=Q)
-    M *= num
-    grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
-    # Q is rebuilt because M overwrote it. Entries with P = 0 add
-    # 0 * log(max(Q, eps)) = 0, a finite log, so no P > 0 mask is needed.
-    logq = np.divide(num, total, out=Q)
-    np.maximum(logq, _EPS, out=logq)
-    np.log(logq, out=logq)
-    kl = entropy - float(np.dot(P.ravel(), logq.ravel()))
-    return kl, grad
+    total = cross = 0.0
+    for rows in blocks:
+        b = rows.stop - rows.start
+        t, g, k = work[:b], M[:b], K[rows]
+        t[...] = sq
+        t += sq[rows, None]  # sq_i + sq_j
+        np.matmul(Y[rows], Y.T, out=g)
+        g *= 2.0
+        t -= g
+        np.clip(t, 0.0, None, out=t)
+        t += 1.0
+        np.reciprocal(t, out=k)
+        np.fill_diagonal(k[:, rows.start:], 0.0)
+        total += k.sum()
+        np.log(t, out=t)
+        t *= P[rows]
+        cross += t.sum()
+    row_sums, MY = np.empty(n), np.empty((n, 2))
+    for rows in blocks:
+        b = rows.stop - rows.start
+        q, m, k = work[:b], M[:b], K[rows]
+        np.divide(k, total, out=q)
+        np.multiply(P[rows], factor, out=m)  # exact for factor 1
+        m -= q
+        m *= k
+        m.sum(axis=1, out=row_sums[rows])
+        np.matmul(m, Y, out=MY[rows])
+    grad = 4.0 * (row_sums[:, None] * Y - MY)
+    return float(entropy + cross + np.log(total)), grad
 
 
 def _entropy(P: np.ndarray) -> float:
@@ -163,7 +183,7 @@ def _entropy(P: np.ndarray) -> float:
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(P || Q) under the Student-t low-dimensional kernel, with its gradient."""
     n = P.shape[0]
-    return _kl_step(P, P, _entropy(P), Y, np.empty((n, n)), np.empty((n, n)))
+    return _kl_step(P, 1.0, _entropy(P), Y, np.empty((n, n)))
 
 
 def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> ProjectionResult:
@@ -203,14 +223,11 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
     velocity = np.zeros_like(Y)
     kl_trace = np.empty(cfg.iterations)
     entropy = _entropy(P)
-    num, Q = np.empty((n, n)), np.empty((n, n))
-    P_exag = P * cfg.early_exaggeration_factor
+    K = np.empty((n, n))
     for it in range(cfg.iterations):
-        exaggerate = it < cfg.early_exaggeration_iters
-        if not exaggerate:
-            P_exag = None  # free the early-phase copy
+        factor = cfg.early_exaggeration_factor if it < cfg.early_exaggeration_iters else 1.0
         # trace is always against the true affinities, also while exaggerating
-        kl_true, grad = _kl_step(P, P_exag if exaggerate else P, entropy, Y, num, Q)
+        kl_true, grad = _kl_step(P, factor, entropy, Y, K)
         if not np.isfinite(kl_true):
             raise AnalysisError(f"non-finite divergence at iteration {it}")
         kl_trace[it] = kl_true

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -167,33 +168,39 @@ def test_rerun_reproduces_identical_bytes(workspace, tmp_path):
 
 
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
-    """index, curves, confounders, eval and relation write the same bytes
-    with 1 and 2 BLAS threads, each run in a fresh interpreter that reads
-    the setting."""
+    """index, curves, confounders, eval, relation, tsne (in row blocks at
+    n = 800) and eval --coords write the same bytes with 1 and 2 BLAS
+    threads, each run in a fresh interpreter that reads the setting."""
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--n-bio", "4", "--n-conf", "4",
                  "--per-cell", "50", "--dim", "96", "--seed", "3"]) == 0
     ds_flags = ["--manifest", str(data / "manifest.csv"),
                 "--embeddings", str(data / "embeddings.bin")]
     src = Path(embrobust.__file__).resolve().parents[1]
+    out = tmp_path / "out"  # one path for both runs: eval records its --coords path
+    commands = [["index", *ds_flags, "--k", "50", "--out-dir", str(out)],
+                ["curves", *ds_flags, "--out-dir", str(out)],
+                ["confounders", *ds_flags, "--out-dir", str(out)],
+                ["eval", *ds_flags, "--out-dir", str(out)],
+                ["relation", *ds_flags, "--out-dir", str(out)],
+                ["tsne", *ds_flags, "--tsne-iters", "100", "--tsne-early-iters", "30",
+                 "--out-dir", str(out)],
+                ["eval", *ds_flags, "--coords", str(out / "tsne_coords.csv"),
+                 "--out-dir", str(out / "coords")]]
+    script = ("import json, sys\n"
+              "from embrobust.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
     snapshots = []
     for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}"
-        commands = [["index", *ds_flags, "--k", "50", "--out-dir", str(out)],
-                    ["curves", *ds_flags, "--out-dir", str(out)],
-                    ["confounders", *ds_flags, "--out-dir", str(out)],
-                    ["eval", *ds_flags, "--out-dir", str(out)],
-                    ["relation", *ds_flags, "--out-dir", str(out)]]
-        script = ("import json, sys\n"
-                  "from embrobust.cli import main\n"
-                  "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+        shutil.rmtree(out, ignore_errors=True)
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(snapshots[0]) == 13
+        snapshots.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(snapshots[0]) == 21
     assert snapshots[0] == snapshots[1]
 
 
@@ -524,7 +531,8 @@ FLAG_RULES = [
     ("tsne", "--perplexity", "0"), ("tsne", "--tsne-lr", "nan"),
     ("tsne", "--tsne-early-factor", "-1"), ("tsne", "--tsne-iters", "0"),
     ("tsne", "--tsne-early-iters", "-1"),
-]
+] + [(sub, "--seed", "-1")
+     for sub in ("synth", "index", "curves", "eval", "confounders", "tsne", "relation")]
 
 
 @pytest.fixture
@@ -562,7 +570,10 @@ def test_every_flag_rule_rejects_at_parse_time(tmp_path, capsys, nothing_generat
     (["synth", "--embeddings-format", "txt", "--out-dir", "OUT"],
      "argument --embeddings-format: invalid choice: 'txt' (choose from 'binary', 'csv')"),
     ([], "the following arguments are required: COMMAND"),
-], ids=["non_numeric", "unknown_flag", "missing_required", "bad_choice", "no_subcommand"])
+    (["curves", "--manifest", "m.csv", "--embeddings", "e.bin", "--out-dir", "OUT", "a\nb"],
+     "unrecognized arguments: a\\nb"),
+], ids=["non_numeric", "unknown_flag", "missing_required", "bad_choice", "no_subcommand",
+        "newline_in_token"])
 def test_parse_errors_are_one_line(tmp_path, capsys, nothing_generated, argv, message):
     out = tmp_path / "out"
     assert main([str(out) if a == "OUT" else a for a in argv]) == 2

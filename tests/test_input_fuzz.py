@@ -110,6 +110,7 @@ def emb1_files(draw) -> bytes:
 @given(data=emb1_files())
 @example(data=BINARY_MAGIC + struct.pack("<IQQ", 1, 0, 2 ** 64 - 1))
 @example(data=BINARY_MAGIC + struct.pack("<IQQ", 1, 2 ** 62, 4))
+@example(data=BINARY_MAGIC + struct.pack("<IQQI", 1, 1, 1, 0x7F810000))  # signalling NaN
 def test_emb1_headers(emb_path, data):
     _load_raises_only_dataset_error(emb_path, data)
 

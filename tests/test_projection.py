@@ -10,7 +10,8 @@ from embrobust import (AnalysisError, EmbeddingDataset, TsneConfig,
                        perplexity_calibration, trustworthiness, tsne)
 from embrobust import neighbors
 from embrobust.neighbors import pairwise_distances
-from embrobust.projection import joint_affinities, kl_divergence_and_grad
+from embrobust.projection import (_entropy, _kl_step, joint_affinities,
+                                  kl_divergence_and_grad)
 
 from conftest import make_random_dataset
 
@@ -34,27 +35,35 @@ def two_arc_clusters(seed=10, n_per=50, dim=50):
         [f"s{i}" for i in range(2 * n_per)], X, labels, labels)
 
 
-def reference_tsne(X, cfg):
-    """The exact loop written with a fresh array per step: the oracle the
-    buffered kernel in ``tsne`` must match bit for bit."""
-    n = X.shape[0]
-    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, cfg.perplexity)
+def reference_step(P, factor, Y):
+    """KL(P || Q) and the gradient of KL(factor * P || Q) at Y, written
+    densely with a fresh array per operation."""
     mask = P > 0
     entropy = float((P[mask] * np.log(P[mask])).sum())
+    sq = (Y * Y).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+    num = 1.0 / (np.clip(d2, 0.0, None) + 1.0)
+    np.fill_diagonal(num, 0.0)
+    Q = num / num.sum()
+    kl = entropy - float((P[mask] * np.log(np.maximum(Q[mask], 1e-12))).sum())
+    M = (P * factor - Q) * num
+    return kl, 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+
+
+def reference_tsne(X, cfg):
+    """The exact loop written with a fresh array per step: the oracle the
+    row-blocked kernel in ``tsne`` must match bit for bit while one block
+    covers every row."""
+    n = X.shape[0]
+    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, cfg.perplexity)
     rng = np.random.default_rng(cfg.seed)
     Y = 1e-4 * rng.standard_normal((n, 2))
     velocity = np.zeros_like(Y)
     kl_trace = []
     for it in range(cfg.iterations):
-        sq = (Y * Y).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-        num = 1.0 / (np.clip(d2, 0.0, None) + 1.0)
-        np.fill_diagonal(num, 0.0)
-        Q = num / num.sum()
-        kl_trace.append(entropy - float((P[mask] * np.log(np.maximum(Q[mask], 1e-12))).sum()))
         exaggerate = it < cfg.early_exaggeration_iters
-        M = ((P * cfg.early_exaggeration_factor if exaggerate else P) - Q) * num
-        grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+        kl, grad = reference_step(P, cfg.early_exaggeration_factor if exaggerate else 1.0, Y)
+        kl_trace.append(kl)
         momentum = (cfg.momentum_start if it < cfg.momentum_switch_iter
                     else cfg.momentum_final)
         velocity = momentum * velocity - cfg.learning_rate * grad
@@ -145,6 +154,42 @@ def test_kl_gradient_matches_finite_differences():
                         - kl_divergence_and_grad(P, Ym)[0]) / (2 * h)
     rel = np.abs(fd - grad) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-4
+
+
+def _step_inputs(scale):
+    X = make_random_dataset(seed=31, n=60, dim=12).vectors
+    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, 10.0)
+    return P, scale * np.random.default_rng(3).standard_normal((60, 2))
+
+
+@pytest.mark.parametrize("scale", [1e-4, 40.0])
+@pytest.mark.parametrize("factor", [1.0, 12.0])
+def test_kl_step_in_row_blocks_matches_dense_reference(monkeypatch, factor, scale):
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 1000)  # 8-row blocks at n = 60
+    blocks = neighbors._row_blocks(60, 2 * 60)
+    assert len(blocks) >= 5 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    P, Y = _step_inputs(scale)
+    kl, grad = _kl_step(P, factor, _entropy(P), Y, np.empty((60, 60)))
+    ref_kl, ref_grad = reference_step(P, factor, Y)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    np.testing.assert_allclose(kl, ref_kl, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("factor", [1.0, 12.0])
+def test_kl_step_in_one_block_rounds_as_the_dense_reference(factor):
+    assert len(neighbors._row_blocks(60, 2 * 60)) == 1
+    P, Y = _step_inputs(1.0)
+    kl, grad = _kl_step(P, factor, _entropy(P), Y, np.empty((60, 60)))
+    ref_kl, ref_grad = reference_step(P, factor, Y)
+    assert np.array_equal(grad, ref_grad)
+    np.testing.assert_allclose(kl, ref_kl, rtol=1e-12, atol=0)
+
+
+def test_kl_gradient_matches_finite_differences_in_row_blocks(monkeypatch):
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 120)  # 3-row blocks at n = 20
+    blocks = neighbors._row_blocks(20, 2 * 20)
+    assert len(blocks) >= 5 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    test_kl_gradient_matches_finite_differences()
 
 
 # ---------------------------------------------------------------------------
