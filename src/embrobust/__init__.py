@@ -30,7 +30,6 @@ from .neighbors import (
     FrequencyCurves,
     NeighborTable,
     build_neighbor_table,
-    cosine_distance,
     frequency_curves,
 )
 from .projection import (
@@ -76,7 +75,6 @@ __all__ = [
     "chance_levels",
     "class_count_matrix",
     "confounder_analysis",
-    "cosine_distance",
     "frequency_curves",
     "generate",
     "knn_predict",

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in any form float() reads is a value, so the flag's
+        # own rule names it: argparse's pattern takes `-1e-3` or `-inf` for an option
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):  # every parse error: one line, exit 2
         raise UsageError(message.replace("\r", "\\r").replace("\n", "\\n"))
 

@@ -188,6 +188,8 @@ def _read_manifest(manifest_path: Path) -> list[tuple[str, str, str, str]]:
             for i, row in enumerate(reader):
                 if len(row) != 4:
                     raise DatasetError(f"{manifest_path}: row {i} has {len(row)} fields, expected 4")
+                if not row[0]:
+                    raise DatasetError(f"{manifest_path}: row {i} has an empty sample_id")
                 rows.append((row[0], row[1], row[2], row[3]))
     except OSError as exc:
         raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc

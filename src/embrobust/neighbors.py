@@ -240,20 +240,6 @@ class FrequencyCurves:
         return np.arange(1, len(self.f_bio) + 1)
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), clamped to [0, 2]. Raises on zero-norm input."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    nu = np.sqrt((u * u).sum())
-    nv = np.sqrt((v * v).sum())
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine distance undefined for zero-norm vector")
-    d = 1.0 - (u * v).sum() / (nu * nv)
-    return float(min(max(d, 0.0), 2.0))
-
-
 def pairwise_distances(vectors: np.ndarray, metric: str = "cosine") -> np.ndarray:
     """Dense symmetric distance matrix with an exact-zero diagonal."""
     v = np.asarray(vectors, dtype=np.float64)

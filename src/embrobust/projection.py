@@ -5,16 +5,22 @@ distances in the embedding space (squared cosine distances, consistent with
 the toolkit-wide metric). Exact O(n^2) gradients keep the implementation
 small and make the finite-difference gradient check meaningful.
 
-Each gradient iteration works through the row blocks of
-``neighbors._row_blocks``: a first sweep writes the Student-t kernel
-K = 1/(1 + d^2) into one n x n float64 buffer made once per run, a second
-builds the gradient from K in two block temporaries of about 1 MB together.
-The loop holds P and K, 2 * 8n^2 bytes (64 MB at n = 2000), and allocates
-no n x n array. The divergence is sum(P log P) + sum(P log(1 + d^2)) +
-log Z with Z = sum(K). While one block covers every row (n <= 256) a step
-rounds exactly as the dense formulas do; above that, every block product is
-small enough that OpenBLAS runs it on one thread, so the trajectory does not
-depend on the BLAS thread count.
+Each gradient iteration works on the upper strips ``P[rows, rows.start:]``
+of the row blocks of ``neighbors._row_blocks``, since d^2, the Student-t
+kernel K = 1/(1 + d^2), P and the gradient's weights are all symmetric:
+each pair's kernel is computed once. ``tsne`` packs the strips of P into
+contiguous arrays once per run and frees the dense P; the strips of K share
+that layout. A first sweep writes each strip of K, a second builds the
+gradient from it and adds each strip's part right of its diagonal square to
+the mirrored rows as well, in two strip temporaries of about 1 MB together.
+The loop holds P and K in strips, about 8n^2 bytes (32.5 MB at n = 2000),
+and allocates no n x n array; the traced peak of a run is still the four
+n x n arrays of ``joint_affinities``. The divergence is sum(P log P) +
+sum(P log(1 + d^2)) + log Z with Z = sum(K). While one block covers every
+row (n <= 256) the one strip is the whole matrix and a step rounds exactly
+as the dense formulas do; above that, every block product is small enough
+that OpenBLAS runs it on one thread, so the trajectory does not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -127,50 +133,68 @@ def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     return P
 
 
-def _kl_step(P: np.ndarray, factor: float, entropy: float, Y: np.ndarray,
-             K: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(P || Q) and the gradient of KL(factor * P || Q) at Y, in row blocks.
+def _upper_strips(P: np.ndarray) -> list[np.ndarray]:
+    """Copies of the upper strips ``P[rows, rows.start:]`` of the step's row
+    blocks, each contiguous and none a view of P: the layout ``_kl_step``
+    reads."""
+    n = P.shape[0]
+    return [P[rows, rows.start:].copy() for rows in _row_blocks(n, 2 * n)]
 
-    ``K`` is a caller-owned (n, n) float64 buffer, overwritten with the
-    kernel 1/(1+d^2) (zero diagonal); Q = K / Z. ``entropy`` is sum(P log P)
-    over P > 0. The first sweep writes each block's rows of K and adds to Z
-    and to sum(P log(1 + d^2)), every log finite as 1 + d^2 >= 1; the second
-    builds M = (factor * P - K / Z) * K per block, its row sums and M @ Y.
-    In one block each element rounds as ``num = 1 / (1 + max(d^2, 0))``,
+
+def _kl_step(P: list[np.ndarray], factor: float, entropy: float, Y: np.ndarray,
+             K: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """KL(P || Q) and the gradient of KL(factor * P || Q) at Y, over the
+    upper strips of the row blocks.
+
+    ``P`` is ``_upper_strips`` of the symmetric affinities and ``entropy``
+    is sum(P log P) over P > 0. ``K`` holds a caller-owned float64 array of
+    each strip's shape, overwritten with the kernel 1/(1+d^2) (zero
+    diagonal); Q = K / Z. A strip starts at its block's first row, so its
+    first b columns are the block's diagonal square and the rest mirror the
+    rows below it. The first sweep writes each strip of K and adds its sum
+    and its sum of P log(1 + d^2) to Z and the KL, the square once and the
+    rest twice, every log finite as 1 + d^2 >= 1. The second builds
+    M = (factor * P - K / Z) * K per strip and adds its row sums and M @ Y
+    to the strip's rows, and its column sums right of the square and their
+    products with the strip's rows of Y to the mirrored rows. In one strip
+    each element rounds as ``num = 1 / (1 + max(d^2, 0))``,
     ``M = (factor * P - num / sum(num)) * num`` and ``M @ Y`` do.
     """
     n = Y.shape[0]
-    blocks = _row_blocks(n, 2 * n)
-    width = blocks[0].stop
-    work, M = np.empty((width, n)), np.empty((width, n))
+    work, M = np.empty(P[0].size), np.empty(P[0].size)
+    strips = []  # each strip's P, K, rows, columns and two work views of its shape
+    for p, k in zip(P, K):
+        (b, w), start = p.shape, n - p.shape[1]
+        strips.append((p, k, slice(start, start + b), slice(start, n),
+                       work[:p.size].reshape(b, w), M[:p.size].reshape(b, w)))
     sq = (Y * Y).sum(axis=1)
     total = cross = 0.0
-    for rows in blocks:
-        b = rows.stop - rows.start
-        t, g, k = work[:b], M[:b], K[rows]
-        t[...] = sq
+    for p, k, rows, cols, t, g in strips:
+        b = len(p)
+        t[...] = sq[cols]
         t += sq[rows, None]  # sq_i + sq_j
-        np.matmul(Y[rows], Y.T, out=g)
+        np.matmul(Y[rows], Y[cols].T, out=g)
         g *= 2.0
         t -= g
         np.clip(t, 0.0, None, out=t)
         t += 1.0
         np.reciprocal(t, out=k)
-        np.fill_diagonal(k[:, rows.start:], 0.0)
-        total += k.sum()
+        np.fill_diagonal(k, 0.0)
+        total += k[:, :b].sum() + 2.0 * k[:, b:].sum()
         np.log(t, out=t)
-        t *= P[rows]
-        cross += t.sum()
-    row_sums, MY = np.empty(n), np.empty((n, 2))
-    for rows in blocks:
-        b = rows.stop - rows.start
-        q, m, k = work[:b], M[:b], K[rows]
+        t *= p
+        cross += t[:, :b].sum() + 2.0 * t[:, b:].sum()
+    row_sums, MY = np.zeros(n), np.zeros((n, 2))
+    for p, k, rows, cols, q, m in strips:
         np.divide(k, total, out=q)
-        np.multiply(P[rows], factor, out=m)  # exact for factor 1
+        np.multiply(p, factor, out=m)  # exact for factor 1
         m -= q
         m *= k
-        m.sum(axis=1, out=row_sums[rows])
-        np.matmul(m, Y, out=MY[rows])
+        row_sums[rows] += m.sum(axis=1)
+        MY[rows] += m @ Y[cols]
+        mirror = m[:, len(p):]  # M[j, i] for the rows j below the block
+        row_sums[rows.stop:] += mirror.sum(axis=0)
+        MY[rows.stop:] += mirror.T @ Y[rows]
     grad = 4.0 * (row_sums[:, None] * Y - MY)
     return float(entropy + cross + np.log(total)), grad
 
@@ -182,8 +206,8 @@ def _entropy(P: np.ndarray) -> float:
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(P || Q) under the Student-t low-dimensional kernel, with its gradient."""
-    n = P.shape[0]
-    return _kl_step(P, 1.0, _entropy(P), Y, np.empty((n, n)))
+    strips = _upper_strips(P)
+    return _kl_step(strips, 1.0, _entropy(P), Y, [np.empty_like(s) for s in strips])
 
 
 def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> ProjectionResult:
@@ -223,7 +247,8 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
     velocity = np.zeros_like(Y)
     kl_trace = np.empty(cfg.iterations)
     entropy = _entropy(P)
-    K = np.empty((n, n))
+    P = _upper_strips(P)  # frees the dense matrix
+    K = [np.empty_like(p) for p in P]
     for it in range(cfg.iterations):
         factor = cfg.early_exaggeration_factor if it < cfg.early_exaggeration_iters else 1.0
         # trace is always against the true affinities, also while exaggerating

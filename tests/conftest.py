@@ -27,6 +27,21 @@ SPARSE_CELLS = np.array([
 ])
 
 
+def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """1 - cos(u, v), clamped to [0, 2], one pair at a time: the oracle for
+    the neighbor table's distances. Raises on zero-norm input."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
+    nu = np.sqrt((u * u).sum())
+    nv = np.sqrt((v * v).sum())
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine distance undefined for zero-norm vector")
+    d = 1.0 - (u * v).sum() / (nu * nv)
+    return float(min(max(d, 0.0), 2.0))
+
+
 def make_random_dataset(seed: int, n: int, dim: int, n_bio: int = 3,
                         n_conf: int = 4) -> EmbeddingDataset:
     """Unstructured dataset: standard normal vectors, random labels."""

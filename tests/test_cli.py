@@ -572,8 +572,14 @@ def test_every_flag_rule_rejects_at_parse_time(tmp_path, capsys, nothing_generat
     ([], "the following arguments are required: COMMAND"),
     (["curves", "--manifest", "m.csv", "--embeddings", "e.bin", "--out-dir", "OUT", "a\nb"],
      "unrecognized arguments: a\\nb"),
+    (["eval", "--manifest", "m.csv", "--embeddings", "e.bin", "--out-dir", "OUT",
+      "--lambda", "-1e-3"],
+     "argument --lambda: must be a finite number >= 0, got '-1e-3'"),
+    (["tsne", "--manifest", "m.csv", "--embeddings", "e.bin", "--out-dir", "OUT",
+      "--tsne-lr", "-inf"],
+     "argument --tsne-lr: must be a finite number > 0, got '-inf'"),
 ], ids=["non_numeric", "unknown_flag", "missing_required", "bad_choice", "no_subcommand",
-        "newline_in_token"])
+        "newline_in_token", "negative_exponent", "negative_infinity"])
 def test_parse_errors_are_one_line(tmp_path, capsys, nothing_generated, argv, message):
     out = tmp_path / "out"
     assert main([str(out) if a == "OUT" else a for a in argv]) == 2

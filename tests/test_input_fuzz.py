@@ -1,20 +1,25 @@
 """Fuzzed input boundary: any value of a numeric flag parses or exits 2 with
-one line, and the embedding reader raises nothing but DatasetError."""
+one line, the embedding reader raises nothing but DatasetError, and a
+malformed manifest or ``--coords`` file exits 2 with one line."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import shutil
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from embrobust import cli
+from embrobust import EmbeddingDataset, cli
 from embrobust.cli import build_parser, main
-from embrobust.dataset import BINARY_MAGIC, DatasetError, load_embeddings
+from embrobust.dataset import (BINARY_MAGIC, MANIFEST_HEADER, DatasetError, load_embeddings,
+                               save_dataset)
 
 
 def _numeric_flags() -> list[tuple[str, str]]:
@@ -126,3 +131,134 @@ CSV_TEXT = st.lists(st.lists(CSV_CELLS, max_size=4).map(",".join), max_size=6).m
 @example(text="1.0,2.0\n3.5e38,1.0")
 def test_csv_text(emb_path, text):
     _load_raises_only_dataset_error(emb_path, text.encode("utf-8"))
+
+
+# manifests and --coords files: every malformed one exits 2 with one line
+
+IDS = [f"s{i}" for i in range(8)]
+FIELD_LIMIT = 131072  # csv's default field_size_limit
+HUGE_FIELD = st.integers(FIELD_LIMIT + 1, FIELD_LIMIT + 64).map(lambda k: "x" * k)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A directory holding an 8 x 3 EMB1 file, which the fuzzed manifests are
+    read against, and a valid manifest for it, which the fuzzed coords are
+    read against; each case writes its file there."""
+    root = tmp_path_factory.mktemp("inputs")
+    vectors = np.random.default_rng(0).normal(size=(len(IDS), 3))
+    ds = EmbeddingDataset.from_arrays(IDS, vectors, ["a", "b"] * 4, ["c", "c", "d", "d"] * 2)
+    save_dataset(ds, root / "manifest.csv", root / "embeddings.bin")
+    return root
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _exits_2_with_one_line(argv: list[str], out_dir) -> None:
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main([*argv, "--out-dir", str(out_dir)])
+    text, created = err.getvalue(), out_dir.exists()
+    shutil.rmtree(out_dir, ignore_errors=True)  # so one failure does not fail the next case
+    assert rc == 2, text
+    assert text.startswith("input error: ") and text.count("\n") == 1, text
+    assert not created
+
+
+LABELS = st.text(max_size=6)
+
+
+@st.composite
+def bad_manifests(draw) -> str:
+    """Manifest text for the 8-row embedding file with one defect: a bad
+    header, an empty or repeated sample id, too few or too many rows, a row
+    with other than four fields, or a field over csv's limit."""
+    rows = [[sid, draw(LABELS), draw(LABELS), draw(LABELS)] for sid in IDS]
+    header = list(MANIFEST_HEADER)
+    i = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from(
+        ["header", "empty_id", "duplicate_id", "row_count", "field_count", "huge_field"]))
+    if defect == "header":
+        header = draw(st.lists(st.text(max_size=12), max_size=5)
+                      .filter(lambda h: tuple(h) != MANIFEST_HEADER))
+    elif defect == "empty_id":
+        rows[i][0] = ""
+    elif defect == "duplicate_id":
+        rows[i][0] = rows[(i + 1) % len(rows)][0]
+    elif defect == "row_count":
+        keep = draw(st.integers(0, 2 * len(rows)).filter(lambda m: m != len(rows)))
+        rows = (rows + [[f"extra{j}", "a", "c", ""] for j in range(len(rows))])[:keep]
+    elif defect == "field_count":
+        rows[i] = rows[i][:1] + draw(st.lists(LABELS, max_size=6).filter(lambda f: len(f) != 3))
+    else:
+        rows[i][draw(st.integers(0, 3))] = draw(HUGE_FIELD)
+    return _csv_text([header, *rows])
+
+
+@given(text=bad_manifests())
+@example(text="")
+@example(text="﻿" + ",".join(MANIFEST_HEADER) + "\n")
+def test_manifest_defects_exit_2_with_one_line(files, text):
+    manifest = files / "fuzzed.csv"
+    manifest.write_text(text, encoding="utf-8")
+    _exits_2_with_one_line(["curves", "--manifest", str(manifest),
+                            "--embeddings", str(files / "embeddings.bin")], files / "out")
+
+
+def _not_a_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+COORD = st.floats(-1e6, 1e6).map(repr)
+NON_NUMERIC = st.text(max_size=8).filter(_not_a_float)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e999", "-2e400"])
+
+
+@st.composite
+def bad_coords(draw) -> str:
+    """A ``sample_id,x,y`` file for the 8-sample manifest with one defect: a
+    bad header, a missing, repeated or unknown id, a non-numeric or
+    non-finite coordinate, a row with other than three fields, or a field
+    over csv's limit."""
+    rows = [[sid, draw(COORD), draw(COORD)] for sid in IDS]
+    header = ["sample_id", "x", "y"]
+    i = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from(
+        ["header", "missing_id", "duplicate_id", "unknown_id", "non_numeric", "non_finite",
+         "field_count", "huge_field"]))
+    if defect == "header":
+        header = draw(st.lists(st.text(max_size=12), max_size=4)
+                      .filter(lambda h: h != ["sample_id", "x", "y"]))
+    elif defect == "missing_id":
+        rows = draw(st.lists(st.sampled_from(rows), unique_by=lambda r: r[0],
+                             max_size=len(rows) - 1))
+    elif defect == "duplicate_id":
+        rows.insert(draw(st.integers(0, len(rows))), [rows[i][0], draw(COORD), draw(COORD)])
+    elif defect == "unknown_id":
+        rows[i][0] = draw(st.text(max_size=8).filter(lambda s: s not in IDS))
+    elif defect in ("non_numeric", "non_finite"):
+        rows[i][draw(st.integers(1, 2))] = draw(NON_NUMERIC if defect == "non_numeric"
+                                                 else NON_FINITE)
+    elif defect == "field_count":
+        rows[i] = rows[i][:1] + draw(st.lists(COORD, max_size=5).filter(lambda f: len(f) != 2))
+    else:
+        rows[i][draw(st.integers(0, 2))] = draw(HUGE_FIELD)
+    return _csv_text([header, *rows])
+
+
+@given(text=bad_coords())
+@example(text="")
+@example(text="sample_id,x,y\n")
+def test_coords_defects_exit_2_with_one_line(files, text):
+    coords = files / "coords.csv"
+    coords.write_text(text, encoding="utf-8")
+    _exits_2_with_one_line(["eval", "--manifest", str(files / "manifest.csv"),
+                            "--embeddings", str(files / "embeddings.bin"),
+                            "--coords", str(coords)], files / "out")

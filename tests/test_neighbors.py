@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embrobust import (EmbeddingDataset, SynthSpec, build_neighbor_table,
-                       cosine_distance, frequency_curves, generate, neighbors)
+                       frequency_curves, generate, neighbors)
 
-from conftest import make_random_dataset
+from conftest import cosine_distance, make_random_dataset
 
 
 def oracle_table(vectors: np.ndarray):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from embrobust import (AnalysisError, EmbeddingDataset, TsneConfig,
                        perplexity_calibration, trustworthiness, tsne)
 from embrobust import neighbors
 from embrobust.neighbors import pairwise_distances
-from embrobust.projection import (_entropy, _kl_step, joint_affinities,
+from embrobust.projection import (_entropy, _kl_step, _upper_strips, joint_affinities,
                                   kl_divergence_and_grad)
 
 from conftest import make_random_dataset
@@ -156,30 +158,63 @@ def test_kl_gradient_matches_finite_differences():
     assert rel.max() < 1e-4
 
 
-def _step_inputs(scale):
-    X = make_random_dataset(seed=31, n=60, dim=12).vectors
+def _step_inputs(scale, n=60):
+    X = make_random_dataset(seed=31, n=n, dim=12).vectors
     P = joint_affinities(pairwise_distances(X, "cosine") ** 2, 10.0)
-    return P, scale * np.random.default_rng(3).standard_normal((60, 2))
+    return P, scale * np.random.default_rng(3).standard_normal((n, 2))
 
 
-@pytest.mark.parametrize("scale", [1e-4, 40.0])
+def strip_step(P, factor, Y):
+    """``_kl_step`` on the packed upper strips of P, with fresh kernel strips."""
+    strips = _upper_strips(P)
+    return _kl_step(strips, factor, _entropy(P), Y, [np.empty_like(s) for s in strips])
+
+
+@pytest.mark.parametrize("scale, n", [
+    pytest.param(1e-4, 60, id="0.0001"), pytest.param(40.0, 60, id="40.0"),
+    pytest.param(40.0, 57, id="40.0-one_row_last_strip"),
+])
 @pytest.mark.parametrize("factor", [1.0, 12.0])
-def test_kl_step_in_row_blocks_matches_dense_reference(monkeypatch, factor, scale):
-    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 1000)  # 8-row blocks at n = 60
-    blocks = neighbors._row_blocks(60, 2 * 60)
+def test_kl_step_in_row_blocks_matches_dense_reference(monkeypatch, factor, scale, n):
+    monkeypatch.setattr(neighbors, "_TASK_ELEMS", 1000)  # 8-row blocks at n = 57 and 60
+    blocks = neighbors._row_blocks(n, 2 * n)
+    # the last strip is narrower than the first one's diagonal square
     assert len(blocks) >= 5 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
-    P, Y = _step_inputs(scale)
-    kl, grad = _kl_step(P, factor, _entropy(P), Y, np.empty((60, 60)))
+    P, Y = _step_inputs(scale, n)
+    kl, grad = strip_step(P, factor, Y)
     ref_kl, ref_grad = reference_step(P, factor, Y)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
     np.testing.assert_allclose(kl, ref_kl, rtol=1e-12, atol=0)
+
+
+def test_strip_state_and_one_step_memory():
+    """Packing P, freeing it as ``tsne`` does, and one step trace under
+    1.25 * 8n^2 bytes beyond the input P. A dense n x n K and its two block
+    temporaries took 1.39 * 8n^2 at n = 600, and a strip left a view of P
+    would keep all of P alive."""
+    n = 600
+    X = make_random_dataset(seed=5, n=n, dim=16).vectors
+    Y = np.random.default_rng(1).standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        P = joint_affinities(pairwise_distances(X, "cosine") ** 2, 30.0)
+        entropy = _entropy(P)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        strips = _upper_strips(P)
+        del P
+        _kl_step(strips, 12.0, entropy, Y, [np.empty_like(s) for s in strips])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 1.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("factor", [1.0, 12.0])
 def test_kl_step_in_one_block_rounds_as_the_dense_reference(factor):
     assert len(neighbors._row_blocks(60, 2 * 60)) == 1
     P, Y = _step_inputs(1.0)
-    kl, grad = _kl_step(P, factor, _entropy(P), Y, np.empty((60, 60)))
+    kl, grad = strip_step(P, factor, Y)
     ref_kl, ref_grad = reference_step(P, factor, Y)
     assert np.array_equal(grad, ref_grad)
     np.testing.assert_allclose(kl, ref_kl, rtol=1e-12, atol=0)
