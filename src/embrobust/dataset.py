@@ -5,8 +5,10 @@ embedding vector, a biological label (e.g. cancer type), a confounder label
 (e.g. medical center) and an optional group id (e.g. source slide). All
 analysis modules consume this one immutable structure.
 
-Embeddings are stored as little-endian float32 on disk and promoted to
-float64 in memory for analysis arithmetic.
+Embeddings are stored as little-endian float32 on disk and held as that
+float32 in memory, once: a loaded binary file's vectors are a read-only
+view of its bytes. Analysis arithmetic widens them to float64 inside each
+operation, which is exact, so it rounds as on a float64 copy.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class EmbeddingDataset:
     ids : tuple of str
         Unique sample identifiers, in load order.
     vectors : ndarray of shape (n, dim)
-        float64 embedding matrix; marked read-only.
+        Embedding matrix, float32 when built from float32 (as every loaded
+        or synthesized dataset is) and float64 otherwise; marked read-only.
     bio_labels, conf_labels, group_ids : tuple of str
         Per-sample labels, aligned with ``ids``. Empty group id = ungrouped.
     bio_classes, conf_classes : tuple of str
@@ -80,7 +83,9 @@ class EmbeddingDataset:
         Euclidean distance (e.g. 2D projection coordinates), where zero rows
         are harmless.
         """
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors)
+        vectors = np.ascontiguousarray(
+            vectors, dtype=np.float32 if vectors.dtype == np.float32 else np.float64)
         if vectors.ndim != 2:
             raise DatasetError(f"embedding matrix must be 2-D, got shape {vectors.shape}")
         n = vectors.shape[0]
@@ -212,10 +217,8 @@ def _read_embeddings_binary(data: bytes, path: Path) -> np.ndarray:
     expected = 24 + 4 * n * d
     if len(data) != expected:
         raise DatasetError(f"{path}: size {len(data)} bytes, expected {expected} for {n}x{d}")
-    flat = np.frombuffer(data, dtype="<f4", count=n * d, offset=24)
-    # a signalling NaN casts to a quiet one, which from_arrays reports
-    with np.errstate(invalid="ignore"):
-        return flat.reshape(n, d).astype(np.float64)
+    # a view of the file's bytes, read-only, not a copy
+    return np.frombuffer(data, dtype="<f4", count=n * d, offset=24).reshape(n, d)
 
 
 def _read_embeddings_csv(text: str, path: Path) -> np.ndarray:
@@ -237,7 +240,7 @@ def _read_embeddings_csv(text: str, path: Path) -> np.ndarray:
             except ValueError as exc:
                 raise DatasetError(f"{path}: row {i}: {exc}") from exc
             # float32 is the canonical on-disk precision for both formats
-            rows.append(values.astype(np.float32).astype(np.float64))
+            rows.append(values.astype(np.float32))
     if not rows:
         raise DatasetError(f"{path}: no embedding rows")
     return np.array(rows)

@@ -373,7 +373,7 @@ def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
         raise ValueError(f"lambda must be a finite number >= 0, got {lam}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if not np.isfinite(X).all():
         raise AnalysisError("non-finite feature value")
     labels = [str(v) for v in y]
@@ -383,10 +383,13 @@ def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
     index = {c: i for i, c in enumerate(classes)}
     yc = np.array([index[v] for v in labels], dtype=np.intp)
 
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    # float32 features widen inside each operation: the same bits as on a
+    # float64 copy, and one float64 matrix, Xs, for the fold
+    mean = X.mean(axis=0, dtype=np.float64)
+    std = X.std(axis=0, dtype=np.float64)
     inv_scale = np.where(std > 0.0, 1.0 / np.where(std > 0.0, std, 1.0), 0.0)
-    Xs = (X - mean) * inv_scale
+    Xs = np.subtract(X, mean, dtype=np.float64)
+    Xs *= inv_scale
 
     d, C = X.shape[1], len(classes)
 
@@ -436,7 +439,8 @@ def logreg_fit(X: np.ndarray, y: Sequence, lam: float = DEFAULT_LAMBDA,
 
 
 def logreg_predict(model: LogRegModel, X: np.ndarray) -> list[str]:
-    Xs = (np.asarray(X, dtype=np.float64) - model.mean) * model.inv_scale
+    Xs = np.subtract(X, model.mean, dtype=np.float64)
+    Xs *= model.inv_scale
     logits = Xs @ model.weights + model.bias
     return [model.classes[i] for i in logits.argmax(axis=1)]
 

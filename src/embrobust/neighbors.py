@@ -241,14 +241,19 @@ class FrequencyCurves:
 
 
 def pairwise_distances(vectors: np.ndarray, metric: str = "cosine") -> np.ndarray:
-    """Dense symmetric distance matrix with an exact-zero diagonal."""
-    v = np.asarray(vectors, dtype=np.float64)
+    """Dense symmetric distance matrix with an exact-zero diagonal.
+
+    Float32 vectors are widened to float64 inside the first operations
+    that read them, which is exact, so the result has the bits that a
+    float64 copy of them gives, without holding that copy.
+    """
+    v = np.asarray(vectors)
     if metric == "cosine":
-        norms = np.sqrt((v * v).sum(axis=1))
+        norms = np.sqrt(np.multiply(v, v, dtype=np.float64).sum(axis=1))
         if (norms == 0.0).any():
             bad = int(np.nonzero(norms == 0.0)[0][0])
             raise ValueError(f"zero-norm vector at row {bad}")
-        unit = v / norms[:, None]
+        unit = np.divide(v, norms[:, None], dtype=np.float64)
         del v
         # the symmetric product: a row-blocked one differs in the last bit
         d = unit @ unit.T
@@ -256,8 +261,13 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "cosine") -> np.ndarra
         np.subtract(1.0, d, out=d)
         np.clip(d, 0.0, 2.0, out=d)
     elif metric == "euclidean":
+        v = np.asarray(v, dtype=np.float64)
         sq = (v * v).sum(axis=1)
-        d = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
+        d = v @ v.T
+        d *= 2.0
+        # (sq_i + sq_j) - 2 v_i.v_j in place, a row block at a time: one n×n array
+        for rows in _row_blocks(len(d), len(d)):
+            np.subtract(sq[rows, None] + sq[None, :], d[rows], out=d[rows])
         np.clip(d, 0.0, None, out=d)
         np.sqrt(d, out=d)
     else:

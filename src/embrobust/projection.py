@@ -14,13 +14,14 @@ that layout. A first sweep writes each strip of K, a second builds the
 gradient from it and adds each strip's part right of its diagonal square to
 the mirrored rows as well, in two strip temporaries of about 1 MB together.
 The loop holds P and K in strips, about 8n^2 bytes (32.5 MB at n = 2000),
-and allocates no n x n array; the traced peak of a run is still the four
-n x n arrays of ``joint_affinities``. The divergence is sum(P log P) +
-sum(P log(1 + d^2)) + log Z with Z = sum(K). While one block covers every
-row (n <= 256) the one strip is the whole matrix and a step rounds exactly
-as the dense formulas do; above that, every block product is small enough
-that OpenBLAS runs it on one thread, so the trajectory does not depend on
-the BLAS thread count.
+and allocates no n x n array. Before it, a run holds at most two n x n
+arrays at a time: ``joint_affinities`` symmetrizes P in place beside the
+squared distances, and ``_entropy`` forms P log P in place in a copy of P's
+positive entries. The divergence is sum(P log P) + sum(P log(1 + d^2)) +
+log Z with Z = sum(K). While one block covers every row (n <= 256) the one
+strip is the whole matrix and a step rounds exactly as the dense formulas
+do; above that, every block product is small enough that OpenBLAS runs it
+on one thread, so the trajectory does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -122,15 +123,26 @@ def perplexity_calibration(
 
 def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinity matrix P from squared distances: non-negative,
-    zero diagonal, sums to 1."""
+    zero diagonal, sums to 1.
+
+    The conditional affinities are symmetrized in place, over the upper
+    strips of the row blocks: P_ij = P_ji = (c_ij + c_ji) / (2n) is computed
+    once per pair, in a strip temporary of about 1 MB, so the calibration
+    holds one n x n array beside ``sq_dists``.
+    """
     n = sq_dists.shape[0]
     cond = np.zeros((n, n))
     for i, row in enumerate(sq_dists):
         _, p_row = perplexity_calibration(np.concatenate((row[:i], row[i + 1:])), perplexity)
         cond[i, :i] = p_row[:i]
         cond[i, i + 1:] = p_row[i:]
-    P = (cond + cond.T) / (2.0 * n)
-    return P
+    for rows in _row_blocks(n, 2 * n):
+        cols = slice(rows.start, n)
+        strip = cond[rows, cols] + cond[cols, rows].T
+        strip /= 2.0 * n
+        cond[rows, cols] = strip
+        cond[cols, rows] = strip.T
+    return cond
 
 
 def _upper_strips(P: np.ndarray) -> list[np.ndarray]:
@@ -200,8 +212,12 @@ def _kl_step(P: list[np.ndarray], factor: float, entropy: float, Y: np.ndarray,
 
 
 def _entropy(P: np.ndarray) -> float:
+    """sum(P log P) over P > 0, with P log P formed in place a task-sized
+    part at a time, so P and its positive entries are the only n x n arrays."""
     p = P[P > 0]
-    return float((p * np.log(p)).sum())
+    for part in _row_blocks(p.size, 1):
+        p[part] *= np.log(p[part])
+    return float(p.sum())
 
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:

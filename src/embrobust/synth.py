@@ -102,5 +102,5 @@ def generate(spec: SynthSpec) -> EmbeddingDataset:
                 conf_labels.append(conf_names[c])
                 idx += 1
 
-    vectors = np.vstack(blocks).astype(np.float32).astype(np.float64)
+    vectors = np.vstack(blocks).astype(np.float32)
     return EmbeddingDataset.from_arrays(ids, vectors, bio_labels, conf_labels)

@@ -607,6 +607,35 @@ def test_index_holds_one_model_at_a_time(workspace, tmp_path, monkeypatch):
     assert len(built) == 3
 
 
+def test_index_ten_models_of_mixed_width(tmp_path):
+    """The paper's comparison shape: ten models, embedding widths 16 to 48.
+    ``robustness.json`` keeps input order; the chart orders its bars by r_k."""
+    flags = ["index", "--k", "5"]
+    names = []
+    for m in range(10):
+        ds = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=6, dim=(16, 24, 32, 48)[m % 4],
+                                conf_strength=0.2 * m, noise_sigma=0.6, seed=m))
+        save_dataset(ds, tmp_path / f"m{m}.csv", tmp_path / f"e{m}.bin")
+        names.append(f"model{m}")
+        flags += ["--manifest", str(tmp_path / f"m{m}.csv"),
+                  "--embeddings", str(tmp_path / f"e{m}.bin"), "--name", names[-1]]
+    outs = [tmp_path / "out1", tmp_path / "out2"]
+    for out in outs:
+        assert main([*flags, "--out-dir", str(out)]) == 0
+
+    entries = json.loads((outs[0] / "robustness.json").read_text())["datasets"]
+    assert [e["name"] for e in entries] == names
+    ranked = sorted(entries, key=lambda e: e["r_k"])
+    assert ranked != entries
+    svg = outs[0] / "robustness_index.svg"
+    assert [b.get("data-label") for b in svg_elements(svg, "rect", "bar")] == [
+        e["name"] for e in ranked]
+    assert [t.text for t in svg_elements(svg, "text", "bar-value")] == [
+        e["r_k_display"] for e in ranked]
+    for name in ("robustness.json", "robustness_index.svg"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("cells", ["-1:0", "0:-1", "0:2"])
 def test_synth_rejects_empty_cells_outside_the_grid(tmp_path, capsys, cells):
     out = tmp_path / "out"

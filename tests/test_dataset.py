@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from embrobust import (DatasetError, EmbeddingDataset, chance_levels,
                        class_count_matrix, load_dataset, save_dataset)
+from embrobust.cli import main
 from embrobust.dataset import (BINARY_MAGIC, load_embeddings, write_embeddings_binary,
                                write_embeddings_csv, write_manifest)
 
@@ -140,6 +142,23 @@ def test_binary_without_rows_or_columns(tmp_path, n, d):
     with pytest.raises(DatasetError, match=f"empty {n}x{d} embedding matrix") as err:
         load_embeddings(path)
     assert str(path) in str(err.value)
+
+
+def test_binary_signalling_nan_exits_2_without_a_warning(tmp_path, capsys):
+    """The loaded vectors are the file's float32 values, not a cast of them, so
+    a signalling NaN raises no "invalid value" RuntimeWarning on the way to
+    the finite check, which names its row."""
+    bits = np.full((3, 4), 0x3F800000, dtype="<u4")  # 1.0
+    bits[1, 2] = 0x7F810000
+    man = tmp_path / "manifest.csv"
+    man.write_text("sample_id,bio_label,conf_label,group_id\na,T,C,\nb,T,C,\nc,U,C,\n")
+    emb = tmp_path / "emb.bin"
+    emb.write_bytes(BINARY_MAGIC + struct.pack("<IQQ", 1, 3, 4) + bits.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["index", "--manifest", str(man), "--embeddings", str(emb),
+                     "--out-dir", str(tmp_path / "out"), "--k", "1"]) == 2
+    assert capsys.readouterr().err == "input error: non-finite value in embedding row 1\n"
 
 
 def test_binary_layout_is_little_endian_float32(tmp_path):

@@ -144,6 +144,19 @@ def test_euclidean_metric_option():
     assert dist[0].tolist() == [1.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("n, d", [(40, 3), (800, 2), (700, 64)])
+def test_euclidean_distances_match_dense_formula_bit_for_bit(n, d):
+    """The row blocks that form (sq_i + sq_j) - 2 v_i.v_j in place round as
+    the whole-matrix expression does; n = 800 and 700 span several blocks."""
+    v = np.random.default_rng(n).normal(size=(n, d)) * 3.0
+    sq = (v * v).sum(axis=1)
+    want = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
+    np.clip(want, 0.0, None, out=want)
+    np.sqrt(want, out=want)
+    np.fill_diagonal(want, 0.0)
+    assert neighbors.pairwise_distances(v, "euclidean").tobytes() == want.tobytes()
+
+
 def test_frequency_curve_single_bio_class():
     ds = make_random_dataset(seed=3, n=30, dim=5, n_bio=1, n_conf=3)
     nt = build_neighbor_table(ds)
