@@ -7,17 +7,22 @@ analysis modules consume this one immutable structure.
 
 Embeddings are stored as little-endian float32 on disk and held as that
 float32 in memory, once: a loaded binary file's vectors are a read-only
-view of its bytes. Analysis arithmetic widens them to float64 inside each
-operation, which is exact, so it rounds as on a float64 copy.
+view of its bytes, and a CSV file is parsed by numpy's C parser straight
+from the open file into one float32 array, with no copy of its text.
+Analysis arithmetic widens them to float64 inside each operation, which
+is exact, so it rounds as on a float64 copy.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -151,13 +156,6 @@ class ClassCountMatrix:
     conf_classes: tuple[str, ...]
     counts: np.ndarray  # (len(bio_classes), len(conf_classes)) int64
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def populated_cells(self) -> list[tuple[str, str]]:
-        rows, cols = np.nonzero(self.counts)
-        return [(self.bio_classes[b], self.conf_classes[c]) for b, c in zip(rows, cols)]
-
 
 def class_count_matrix(ds: EmbeddingDataset) -> ClassCountMatrix:
     counts = np.zeros((len(ds.bio_classes), len(ds.conf_classes)), dtype=np.int64)
@@ -221,45 +219,75 @@ def _read_embeddings_binary(data: bytes, path: Path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", count=n * d, offset=24).reshape(n, d)
 
 
-def _read_embeddings_csv(text: str, path: Path) -> np.ndarray:
-    rows: list[np.ndarray] = []
-    dim: int | None = None
-    # a value beyond float32's range casts to inf, which from_arrays reports
-    with np.errstate(over="ignore"):
-        for i, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if dim is None:
-                dim = len(parts)
-            elif len(parts) != dim:
-                raise DatasetError(
-                    f"{path}: row {i} has {len(parts)} values, expected {dim}")
-            try:
-                values = np.array([float(p) for p in parts], dtype=np.float64)
-            except ValueError as exc:
-                raise DatasetError(f"{path}: row {i}: {exc}") from exc
-            # float32 is the canonical on-disk precision for both formats
-            rows.append(values.astype(np.float32))
-    if not rows:
+_COLUMNS_CHANGED = re.compile(r"the number of columns changed from (\d+) to (\d+) at row (\d+)")
+_NOT_A_FLOAT = re.compile(r"could not convert string (.*) to float32 at row (\d+), column (\d+)",
+                          re.S)
+
+
+def _csv_error(exc: ValueError) -> str:
+    """loadtxt's message with its row (and column) counted from 0, as every
+    other embedding-row message counts them; loadtxt counts a column-count
+    error's row from 1 and a conversion error's column from 1."""
+    msg = str(exc)
+    if m := _COLUMNS_CHANGED.match(msg):
+        expected, got, row = map(int, m.groups())
+        return f"row {row - 1} has {got} values, expected {expected}"
+    if m := _NOT_A_FLOAT.match(msg):
+        return f"row {m[2]}, column {int(m[3]) - 1}: could not convert string {m[1]} to float32"
+    return msg
+
+
+def _read_embeddings_csv(text: TextIO, path: Path) -> np.ndarray:
+    # each field goes to a double, then float32: beyond float32's range that
+    # is inf, with no warning, and from_arrays reports it
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, as no rows, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            vectors = np.loadtxt(text, delimiter=",", dtype=np.float32, ndmin=2, comments=None)
+    except UnicodeDecodeError:  # a ValueError too, so caught first
+        raise DatasetError(f"{path}: not an EMB1 binary file and not UTF-8 CSV") from None
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {_csv_error(exc)}") from None
+    if vectors.shape[0] == 0:
         raise DatasetError(f"{path}: no embedding rows")
-    return np.array(rows)
+    return vectors
 
 
 def load_embeddings(embeddings_path: str | Path) -> np.ndarray:
-    """Read an embedding matrix from binary (magic ``EMB1``) or CSV format."""
+    """Read an embedding matrix from binary (magic ``EMB1``) or CSV format.
+
+    The file is opened once and its first four bytes pick the format. A
+    binary file is read into one allocation and its vectors are a
+    read-only view of those bytes. A CSV file is parsed by ``np.loadtxt``
+    straight from the open file into one float32 array; each value is
+    rounded to the nearest double and that to float32, as ``float()`` and
+    a cast would round it.
+
+    CSV grammar: UTF-8 text, one sample per row, every row with the same
+    number of comma-separated values. A row ends at LF, CRLF or CR; empty
+    lines are skipped. A value is a decimal float in ASCII digits, with an
+    optional sign and exponent, or ``nan``, ``inf`` or ``infinity`` in any
+    case, with optional surrounding whitespace (``str.isspace``). There are
+    no comments, quotes or header. An empty value (as a trailing comma
+    makes), a whitespace-only line, ``#``, quotes, ``1_0`` and non-ASCII
+    digits are errors. Error messages count rows and columns from 0, rows
+    over the non-empty lines, as the manifest's rows bind to them.
+    """
     path = Path(embeddings_path)
     try:
-        data = path.read_bytes()
+        # unbuffered: after the peek a read of the whole file is one
+        # allocation, not the buffer's first block joined to the rest
+        with open(path, "rb", buffering=0) as fh:
+            magic = fh.read(4)
+            fh.seek(0)
+            if magic == BINARY_MAGIC:
+                return _read_embeddings_binary(fh.read(), path)
+            # universal newlines: a row ends at LF, CRLF or CR
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                return _read_embeddings_csv(text, path)
     except OSError as exc:
         raise DatasetError(f"cannot read embeddings {path}: {exc}") from exc
-    if data[:4] == BINARY_MAGIC:
-        return _read_embeddings_binary(data, path)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise DatasetError(f"{path}: not an EMB1 binary file and not UTF-8 CSV") from None
-    return _read_embeddings_csv(text, path)
 
 
 def load_dataset(manifest_path: str | Path, embeddings_path: str | Path) -> EmbeddingDataset:

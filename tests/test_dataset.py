@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -198,6 +199,88 @@ def test_csv_embeddings_match_binary(tmp_path):
     assert np.array_equal(from_bin.vectors, from_csv.vectors)
 
 
+@pytest.mark.parametrize("text, expected", [
+    (" 1 ,\t-2\n3 , 4\n", [[1, -2], [3, 4]]),      # whitespace around a value
+    ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),           # CRLF
+    ("1,2\r3,4", [[1, 2], [3, 4]]),                 # CR, no final line end
+    ("\n1,2\n\n\n3,4\n\n", [[1, 2], [3, 4]]),       # empty lines skipped
+    ("+1.,.5e1\n-0,1E-3\n", [[1, 5], [-0.0, 0.001]]),
+    ("1e999,1e-999\n", [[np.inf, 0]]),              # overflow to inf, underflow to 0
+    ("NaN,-Infinity\n", [[np.nan, -np.inf]]),
+])
+def test_csv_grammar_accepts(tmp_path, text, expected):
+    path = tmp_path / "emb.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = load_embeddings(path)
+    assert got.dtype == np.float32
+    assert got.tobytes() == np.array(expected, dtype=np.float32).tobytes()
+
+
+CSV_REJECTIONS = [
+    ("1,2,\n3,4,\n", "row 0, column 2: could not convert string '' to float32"),
+    ("# header\n1,2\n", "row 0, column 0: could not convert string '# header' to float32"),
+    ('"1",2\n3,4\n', "row 0, column 0: could not convert string '\"1\"' to float32"),
+    ("1_0,2\n3,4\n", "row 0, column 0: could not convert string '1_0' to float32"),
+    ("1,2\n3,４\n", "row 1, column 1: could not convert string '４' to float32"),
+    ("1,2\n\n\n3,x\n", "row 1, column 1: could not convert string 'x' to float32"),
+    ("1,2\n \n3,4\n", "row 1 has 1 values, expected 2"),  # whitespace-only row
+    ("1,2\n3\n", "row 1 has 1 values, expected 2"),
+    ("", "no embedding rows"),
+    ("\n\r\n\n", "no embedding rows"),
+    ("1,2\n\udcff,4\n", "not an EMB1 binary file and not UTF-8 CSV"),
+]
+
+
+@pytest.mark.parametrize("text, message", CSV_REJECTIONS)
+def test_rejected_csv_exits_2_with_one_line(tmp_path, capsys, text, message):
+    """Every rejection names the file and counts rows and columns from 0 over
+    the non-empty lines, as the manifest binds them; no out-dir is made."""
+    man = tmp_path / "manifest.csv"
+    man.write_text("sample_id,bio_label,conf_label,group_id\na,T,C,\nb,U,C,\n")
+    emb = tmp_path / "emb.csv"
+    emb.write_bytes(text.encode("utf-8", "surrogateescape"))  # \udcff: the byte 0xff
+    out = tmp_path / "out"
+    assert main(["index", "--manifest", str(man), "--embeddings", str(emb),
+                 "--out-dir", str(out), "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"input error: {emb}: {message}\n"
+    assert not out.exists()
+
+
+def _traced_load(path) -> tuple[np.ndarray, int]:
+    """The loaded embeddings and the traced peak of loading them, in bytes."""
+    tracemalloc.start()
+    try:
+        return load_embeddings(path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_load_peak_is_about_the_array(tmp_path):
+    """loadtxt parses the open file into one float32 array, so the traced peak
+    stays under twice the array (4nd bytes) plus 1 MiB. Holding the file's
+    text or a Python float per value exceeds that: the per-line parser this
+    reader replaced peaked at 16 times the array here."""
+    n, d = 400, 512
+    vectors = np.random.default_rng(7).normal(size=(n, d)).astype(np.float32)
+    path = tmp_path / "emb.csv"
+    write_embeddings_csv(vectors, path)
+    loaded, peak = _traced_load(path)
+    assert loaded.tobytes() == vectors.tobytes()
+    assert peak < 2 * 4 * n * d + 2 ** 20
+
+
+def test_binary_load_holds_one_copy_of_the_file(tmp_path):
+    """The format is picked from the first four bytes, then the file is read
+    in one allocation: a buffered read after that peek would join the
+    buffer's first block to the rest, a second copy of the file."""
+    vectors = np.random.default_rng(8).normal(size=(500, 1024)).astype(np.float32)
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(vectors, path)
+    loaded, peak = _traced_load(path)
+    assert loaded.tobytes() == vectors.tobytes()
+    assert peak < path.stat().st_size + 2 ** 16
+
+
 def test_table_shaped_synthetic_classes(table_shaped_ds):
     ds = table_shaped_ds
     # brute-force class counting straight off the label columns
@@ -212,7 +295,7 @@ def test_class_count_matrix_two_samples():
         ["x", "y"], np.array([[1.0, 0.0], [0.0, 1.0]]), ["A", "A"], ["X", "Y"])
     m = class_count_matrix(ds)
     assert m.counts[0, 0] == 1 and m.counts[0, 1] == 1
-    assert m.total() == 2
+    assert m.counts.sum() == 2
 
 
 def test_class_count_matrix_matches_histogram_oracle():
@@ -225,7 +308,7 @@ def test_class_count_matrix_matches_histogram_oracle():
     for i, b in enumerate(m.bio_classes):
         for j, c in enumerate(m.conf_classes):
             assert m.counts[i, j] == expected.get((b, c), 0)
-    assert m.total() == ds.n
+    assert m.counts.sum() == ds.n
     # row/column sums equal per-class counts computed independently
     for i, b in enumerate(m.bio_classes):
         assert m.counts[i].sum() == sum(1 for lab in ds.bio_labels if lab == b)

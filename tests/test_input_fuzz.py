@@ -125,12 +125,75 @@ CSV_CELLS = st.one_of(st.floats().map(str), st.integers().map(str),
 CSV_TEXT = st.lists(st.lists(CSV_CELLS, max_size=4).map(",".join), max_size=6).map("\n".join)
 
 
+def _float_reference(text: str) -> np.ndarray | None:
+    """The per-line parser the CSV reader replaced: ``float()`` on each
+    comma-separated value, rounded to float32, whitespace-only lines
+    skipped; None where it rejects the text."""
+    rows = []
+    for line in text.splitlines():
+        if line.strip():
+            try:
+                rows.append([float(p) for p in line.split(",")])
+            except ValueError:
+                return None
+    if not rows or len({len(r) for r in rows}) != 1:
+        return None
+    with np.errstate(over="ignore"):
+        return np.array(rows).astype(np.float32)
+
+
 @given(text=CSV_TEXT)
 @example(text="1.0," + "9" * 400 + "\n2.0,1.0")
 @example(text="nan,1.0\n2.0,inf")
 @example(text="1.0,2.0\n3.5e38,1.0")
 def test_csv_text(emb_path, text):
-    _load_raises_only_dataset_error(emb_path, text.encode("utf-8"))
+    """Any text loads or raises DatasetError; what loads, the float()
+    reference accepts too, with the same bits. (Over this alphabet: the
+    reference also ends a line at the separators str.splitlines knows, such
+    as FF and RS, which the CSV reader takes for whitespace.)"""
+    emb_path.write_bytes(text.encode("utf-8"))
+    try:
+        got = load_embeddings(emb_path)
+    except DatasetError:
+        return
+    want = _float_reference(text)
+    assert want is not None
+    assert got.tobytes() == want.tobytes()
+
+
+VALUES = st.one_of(
+    st.floats().map(repr),
+    st.floats(width=32).map(lambda x: format(x, ".9g")),
+    st.tuples(st.floats(allow_nan=False), st.integers(0, 30)).map(
+        lambda t: format(t[0], f".{t[1]}e")),
+    st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.sampled_from(["NaN", "-nan", "+Inf", "-infinity", "1e999", "-1e-999", "3.5e38",
+                     "1.", ".5", "-0", "1E+05"]))
+PADDING = st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\u3000"])
+
+
+@st.composite
+def csv_files(draw) -> str:
+    """Text in the CSV grammar: rows of one width, values with any float
+    spelling and padding, any line ending, empty lines anywhere."""
+    width = draw(st.integers(1, 5))
+    cell = st.tuples(PADDING, VALUES, PADDING).map("".join)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width).map(",".join),
+                         min_size=1, max_size=6))
+    lines = [line for row in rows for line in [""] * draw(st.integers(0, 1)) + [row]]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@given(text=csv_files())
+@example(text="3.4028235677973366e38,1.401298464324817e-45\n-1.1754943508222875e-38,1")
+def test_csv_values_match_float_reference(emb_path, text):
+    """numpy's parser rounds each value to float32 as float() then a cast
+    did: the same bits, for every spelling of a float."""
+    emb_path.write_bytes(text.encode("utf-8"))
+    want = _float_reference(text)
+    assert want is not None
+    assert load_embeddings(emb_path).tobytes() == want.tobytes()
 
 
 # manifests and --coords files: every malformed one exits 2 with one line
