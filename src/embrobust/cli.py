@@ -249,8 +249,14 @@ def cmd_curves(args) -> int:
     return 0
 
 
+# within it, squared distances and the probes' sums of n squared deviations,
+# at most n·(2e150)², stay finite while an n×n matrix fits in memory
+_COORD_BOUND = 1e150
+
+
 def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
-    """Read a ``sample_id,x,y`` CSV holding one finite point per manifest id."""
+    """Read a ``sample_id,x,y`` CSV holding one point per manifest id, each
+    coordinate finite and at most ``_COORD_BOUND`` in magnitude."""
     known = set(ds.ids)
     rows: dict[str, tuple[float, float]] = {}
     try:
@@ -268,8 +274,9 @@ def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
                     xy = (float(row[1]), float(row[2]))
                 except ValueError:
                     raise DatasetError(f"{where}: non-numeric coordinate in {row[1:]!r}") from None
-                if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                    raise DatasetError(f"{where}: non-finite coordinate in {row[1:]!r}")
+                if not (abs(xy[0]) <= _COORD_BOUND and abs(xy[1]) <= _COORD_BOUND):
+                    raise DatasetError(f"{where}: non-finite coordinate, or one over "
+                                       f"{_COORD_BOUND:g} in magnitude, in {row[1:]!r}")
                 if sid in rows:
                     raise DatasetError(f"{where}: duplicate sample id {sid!r}")
                 if sid not in known:
@@ -289,10 +296,10 @@ def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
 
 
 def _eval_block(ds, vectors, metric, targets, k, lam, folds, max_iter,
-                require_nonzero=True, exclude_same_group=False):
+                exclude_same_group=False):
     probe_ds = EmbeddingDataset.from_arrays(
         ds.ids, vectors, ds.bio_labels, ds.conf_labels, ds.group_ids,
-        require_nonzero=require_nonzero)
+        require_nonzero=(metric == "cosine"))
     nt = build_neighbor_table(probe_ds, metric=metric,
                               exclude_same_group=exclude_same_group)
     block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
@@ -338,8 +345,7 @@ def cmd_eval(args) -> int:
     if coords is not None:
         payload["tsne2d"] = _eval_block(
             ds, coords, "euclidean", targets, args.k, args.lam, folds,
-            args.logreg_max_iter, require_nonzero=False,
-            exclude_same_group=args.exclude_same_group)
+            args.logreg_max_iter, exclude_same_group=args.exclude_same_group)
     reports: dict = {"eval.json": payload}
     if args.target == "both":  # the accuracy scatter needs both axes
         reports["accuracy_embedding.svg"] = _accuracy_scatter(

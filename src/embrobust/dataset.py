@@ -224,6 +224,14 @@ _NOT_A_FLOAT = re.compile(r"could not convert string (.*) to float32 at row (\d+
                           re.S)
 
 
+def _field_repr(text: str) -> str:
+    """loadtxt's repr of a field, which it cuts at 100 characters, closed:
+    a cut one ends at its last whole character or escape, and says so."""
+    q = text[:1]
+    whole = re.match(rf"{q}(?:\\(?:x..|u....|U........|[^xuU])|[^\\{q}])*", text, re.S)[0]
+    return text if text == whole + q else f"starting {whole}{q}"
+
+
 def _csv_error(exc: ValueError) -> str:
     """loadtxt's message with its row (and column) counted from 0, as every
     other embedding-row message counts them; loadtxt counts a column-count
@@ -233,7 +241,8 @@ def _csv_error(exc: ValueError) -> str:
         expected, got, row = map(int, m.groups())
         return f"row {row - 1} has {got} values, expected {expected}"
     if m := _NOT_A_FLOAT.match(msg):
-        return f"row {m[2]}, column {int(m[3]) - 1}: could not convert string {m[1]} to float32"
+        return (f"row {m[2]}, column {int(m[3]) - 1}: could not convert string "
+                f"{_field_repr(m[1])} to float32")
     return msg
 
 

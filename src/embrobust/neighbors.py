@@ -10,6 +10,8 @@ nothing up front: it keeps the distance matrix, and each analysis ranks all
 its rows once, in blocks, only as deep as it reads: the robustness index k
 columns, the cross-validated probes a fold-dependent margin above their
 largest k. Rows that need more are ranked deeper from the same bits.
+Group exclusion is decided once, in ``build_neighbor_table``: same-group
+pairs get distance +inf, as the diagonal does, so one kernel ranks every table.
 
 Row blocks run as tasks on every core in the process's CPU affinity
 (``_workers``), on the threads of one pool (``_map_blocks``): ranking, the
@@ -27,8 +29,8 @@ on its own pool.
 Memory: the n×n float64 distance matrix, held by the table, plus during an
 analysis call the (n, depth) ranks and, per pool thread, the temporaries of
 one task. Tasks are sized by what they allocate, about ``_TASK_ELEMS``
-elements (1 MB of 8-byte values): a ranking task without group exclusion
-holds 1 MB of distances (37 rows at n = 3500). glibc gives each thread its
+elements (1 MB of 8-byte values): a ranking task, n-wide per row,
+holds 1 MB of ranks (37 rows at n = 3500). glibc gives each thread its
 own malloc arena, which keeps the freed temporaries of its largest task
 resident: after ``index``, ``curves`` and ``confounders`` at n = 3500 on two
 cores the two arenas held 3.3 MiB (``malloc_info``). ``frequency_curves``
@@ -99,30 +101,11 @@ def _group_codes(group_ids) -> np.ndarray:
                      for g in group_ids], dtype=np.intp)
 
 
-def _rank_block(d: np.ndarray, rows: np.ndarray, depth: int,
-                groups: np.ndarray | None) -> np.ndarray:
-    """Rows ``rows`` of ``d`` (+inf diagonal) ranked to ``depth`` columns.
-
-    With ``groups``, each row is partitioned allowed-then-excluded: the
-    others sharing the row's group follow all allowed neighbors, each part
-    in (distance, index) order.
-    """
-    if groups is None:
-        if (np.diff(rows) == 1).all():  # consecutive rows: rank a view, not a copy
-            return _rank_rows(d[rows[0]:rows[0] + len(rows)], depth)
-        return _rank_rows(d[rows], depth)
-    n = d.shape[1]
-    block = d[rows]  # a copy: rows is an index array
-    excluded = (groups[None, :] == groups[rows, None]) & (groups[rows, None] >= 0)
-    excluded[np.arange(len(rows)), rows] = False  # self is ranked last by its +inf
-    block[excluded] = np.inf
-    order = _rank_rows(block, depth)
-    n_allowed = (n - 1) - excluded.sum(axis=1)
-    for r in np.nonzero(n_allowed < depth)[0]:
-        others = np.nonzero(excluded[r])[0]
-        tail = others[np.argsort(d[rows[r], others], kind="stable")]
-        order[r, n_allowed[r]:] = tail[: depth - n_allowed[r]]
-    return order
+def _rank_block(d: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
+    """Rows ``rows`` of ``d`` ranked to ``depth`` columns."""
+    if (np.diff(rows) == 1).all():  # consecutive rows: rank a view, not a copy
+        return _rank_rows(d[rows[0]:rows[0] + len(rows)], depth)
+    return _rank_rows(d[rows], depth)
 
 
 def _workers() -> int:
@@ -170,8 +153,7 @@ def _map_blocks(task, blocks: list) -> Iterator:
     return _pool(workers).map(task, blocks)
 
 
-def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
-          groups: np.ndarray | None) -> np.ndarray:
+def _rank(d: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
     """``_rank_block`` over ``rows``, a task-sized block at a time, on every
     usable core.
 
@@ -179,16 +161,14 @@ def _rank(d: np.ndarray, rows: np.ndarray, depth: int,
     same for any worker count. Rows that fit one task, such as a task's own
     rows ranked inline in a pool thread, are ranked without a copy.
     """
-    # a task allocates its rows' n-wide ranks and, with group exclusion, an
-    # n-wide copy of their distances
-    width = d.shape[1] * (1 if groups is None else 2)
-    blocks = _row_blocks(len(rows), width)
+    # a task allocates its rows' n-wide ranks
+    blocks = _row_blocks(len(rows), d.shape[1])
     if len(blocks) == 1:
-        return _rank_block(d, rows, depth, groups)
+        return _rank_block(d, rows, depth)
     out = np.empty((len(rows), depth), dtype=np.intp)
 
     def task(blk: slice) -> None:
-        out[blk] = _rank_block(d, rows[blk], depth, groups)
+        out[blk] = _rank_block(d, rows[blk], depth)
 
     list(_map_blocks(task, blocks))
     return out
@@ -201,12 +181,13 @@ class NeighborTable:
     ``ranked(rows, depth)[i, j]`` is the index of the (j+1)-th nearest
     neighbor (self excluded) of the i-th given row, distance ties broken by
     ascending sample index. Nothing is ranked up front: every call ranks
-    its rows from ``distances``, the n×n matrix (+inf on the diagonal),
-    with ``groups`` the group codes used for exclusion (None without it).
+    its rows from ``distances``, the n×n matrix, +inf on the diagonal and at
+    every excluded pair; ``groups`` holds the group codes of the exclusion
+    (None without it).
 
-    ``limit[i]`` counts the usable entries of row i's full ranking. Without
-    group exclusion this is n-1 everywhere; with it, same-group neighbors
-    are moved behind the usable prefix and ``limit`` shrinks accordingly.
+    Row i's first ``limit[i]`` ranks are its neighbors: n-1 of them without
+    group exclusion, fewer by its same-group others with it. The columns
+    past them hold its +inf entries (itself and those others) by ascending index.
     """
 
     limit: np.ndarray      # (n,) intp
@@ -224,8 +205,7 @@ class NeighborTable:
 
     def ranked(self, rows, depth: int) -> np.ndarray:
         """The first ``depth`` columns (at most n-1) of the given rows' rankings."""
-        return _rank(self.distances, np.arange(self.n)[rows],
-                     min(depth, self.n - 1), self.groups)
+        return _rank(self.distances, np.arange(self.n)[rows], min(depth, self.n - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +263,10 @@ def build_neighbor_table(
 ) -> NeighborTable:
     """The table that ranks every sample's cross-distances exactly on demand.
 
-    With ``exclude_same_group``, neighbors sharing a non-empty group id with
-    the query sample are stably moved behind the usable prefix of each row;
-    the full row is a permutation of the other indices, partitioned into
-    allowed-then-excluded.
+    With ``exclude_same_group``, every pair of samples sharing a non-empty
+    group id gets distance +inf, in place, like the diagonal: each row's
+    first ``limit[i]`` ranks are its allowed neighbors in (distance, index)
+    order, and no ranking task needs the groups.
     """
     n = ds.n
     d = pairwise_distances(ds.vectors, metric=metric)
@@ -294,6 +274,9 @@ def build_neighbor_table(
     groups = _group_codes(ds.group_ids) if exclude_same_group else None
     limit = np.full(n, n - 1, dtype=np.intp)
     if groups is not None:
+        for rows in _row_blocks(n, n):
+            same = (groups[rows, None] == groups[None, :]) & (groups[rows, None] >= 0)
+            d[rows][same] = np.inf
         grouped = groups >= 0
         sizes = np.bincount(groups[grouped])
         limit[grouped] -= sizes[groups[grouped]] - 1

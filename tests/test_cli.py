@@ -728,6 +728,41 @@ def test_eval_rejects_malformed_coords(workspace, tmp_path, capsys, edit, messag
     assert f"{bad}: row " in err and message in err
 
 
+def _coords_at(path, lines, scale):
+    """``lines``' ids at the corners (±scale, ±scale), so points lie opposite
+    each other at every distance the corners allow."""
+    rows = [f"{line.split(',')[0]},{scale * (-1) ** i!r},{scale * (-1) ** (i % 3 > 0)!r}"
+            for i, line in enumerate(lines[1:])]
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+
+
+def test_eval_rejects_coords_that_overflow(workspace, tmp_path, capsys):
+    # finite, but their squared distances and the probes' variances overflow
+    lines = (workspace / "out" / "tsne_coords.csv").read_text().splitlines()
+    data = workspace / "data"
+    flags = ["eval", "--manifest", str(data / "manifest.csv"),
+             "--embeddings", str(data / "embeddings.bin"), "--logreg-max-iter", "300"]
+    bad = tmp_path / "huge.csv"
+    _coords_at(bad, lines, 1e200)
+    assert main([*flags, "--coords", str(bad), "--out-dir", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("input error: ") and f"{bad}: row 0: non-finite coordinate, or" in err
+    assert not (tmp_path / "bad").exists()
+    # just past the largest magnitude accepted, and at it: there no
+    # arithmetic warns (warnings fail the test) and every accuracy is a number
+    _coords_at(bad, lines, float(np.nextafter(1e150, np.inf)))
+    assert main([*flags, "--coords", str(bad), "--out-dir", str(tmp_path / "bad")]) == 2
+    assert "row 0: non-finite coordinate, or one over 1e+150" in capsys.readouterr().err
+    edge = tmp_path / "edge.csv"
+    _coords_at(edge, lines, 1e150)
+    assert main([*flags, "--coords", str(edge), "--out-dir", str(tmp_path / "edge_out")]) == 0
+    block = json.loads((tmp_path / "edge_out" / "eval.json").read_text())["tsne2d"]
+    for probe in ("knn", "logreg"):
+        for target in ("bio", "conf"):
+            assert all(0.0 <= a <= 1.0 for a in block[probe][target]["fold_accuracy"])
+
+
 @pytest.mark.parametrize("manifest, embeddings, message", [
     (b"sample_id,bio_label,conf_label,group_id\na,T,C,\n\xff,T,C,\n", b"1,0\n0,1\n",
      "manifest.csv: manifest is not UTF-8 text"),

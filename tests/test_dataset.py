@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import struct
 import tracemalloc
 import warnings
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from embrobust import (DatasetError, EmbeddingDataset, chance_levels,
                        class_count_matrix, load_dataset, save_dataset)
 from embrobust.cli import main
-from embrobust.dataset import (BINARY_MAGIC, load_embeddings, write_embeddings_binary,
-                               write_embeddings_csv, write_manifest)
+from embrobust.dataset import (BINARY_MAGIC, _field_repr, load_embeddings,
+                               write_embeddings_binary, write_embeddings_csv, write_manifest)
 
 from conftest import SPARSE_CELLS, make_random_dataset, make_synth
 
@@ -223,6 +224,13 @@ CSV_REJECTIONS = [
     ("1_0,2\n3,4\n", "row 0, column 0: could not convert string '1_0' to float32"),
     ("1,2\n3,４\n", "row 1, column 1: could not convert string '４' to float32"),
     ("1,2\n\n\n3,x\n", "row 1, column 1: could not convert string 'x' to float32"),
+    # loadtxt cuts a field's repr at 100 characters: the message closes its
+    # quote, after the last whole character, and says the field is cut
+    ("x" * 150 + ",2\n3,4\n",
+     f"row 0, column 0: could not convert string starting '{'x' * 99}' to float32"),
+    ("NOPE" + "\0" * 24 + ",2\n3,4\n",
+     "row 0, column 0: could not convert string starting 'NOPE" + r"\x00" * 23
+     + "' to float32"),
     ("1,2\n \n3,4\n", "row 1 has 1 values, expected 2"),  # whitespace-only row
     ("1,2\n3\n", "row 1 has 1 values, expected 2"),
     ("", "no embedding rows"),
@@ -244,6 +252,19 @@ def test_rejected_csv_exits_2_with_one_line(tmp_path, capsys, text, message):
                  "--out-dir", str(out), "--k", "1"]) == 2
     assert capsys.readouterr().err == f"input error: {emb}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["NOPE" + "\0" * 24, "a'b\\c\td\x7f\u2028e\U0001f600",
+                                   'say "hi"\n', "q'\"" * 5, "x" * 3])
+def test_cut_field_repr_closes_its_quote(field):
+    """Every prefix of a field's repr, as loadtxt cuts it, reads back as a
+    whole quoted prefix of the field, on one line."""
+    full = repr(field)
+    assert _field_repr(full) == full
+    for cut in range(1, len(full)):
+        shown = _field_repr(full[:cut])
+        assert shown.startswith("starting ") and "\n" not in shown
+        assert field.startswith(ast.literal_eval(shown.removeprefix("starting ")))
 
 
 def _traced_load(path) -> tuple[np.ndarray, int]:

@@ -979,9 +979,9 @@ def count_rankings(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     rank = neighbors._rank
 
-    def counted(d, rows, depth, groups):
+    def counted(d, rows, depth):
         calls.append((len(rows), depth))
-        return rank(d, rows, depth, groups)
+        return rank(d, rows, depth)
 
     monkeypatch.setattr(neighbors, "_rank", counted)
     return calls
@@ -1044,10 +1044,10 @@ def test_deep_reranks_inside_ensemble_tasks_equal_serial(monkeypatch):
     deep_threads = set()
     rank = neighbors._rank
 
-    def recorded(d, rows, depth, groups):
+    def recorded(d, rows, depth):
         if depth == ds.n - 1:
             deep_threads.add(threading.current_thread().name)
-        return rank(d, rows, depth, groups)
+        return rank(d, rows, depth)
 
     monkeypatch.setattr(neighbors, "_rank", recorded)
 

@@ -203,16 +203,20 @@ def test_exclude_same_group():
     order, dist = table_arrays(nt)
     for i in range(12):
         row = order[i].tolist()
-        assert sorted(row) == [j for j in range(12) if j != i]
         allowed = row[: nt.limit[i]]
+        assert sorted(allowed) == [j for j in range(12) if j != i
+                                   and not (groups[i] and groups[j] == groups[i])]
         if groups[i]:
-            assert all(groups[j] != groups[i] for j in allowed)
             assert nt.limit[i] == 12 - 1 - 3  # three same-group others
         else:
             assert nt.limit[i] == 11  # ungrouped samples exclude nothing
-        # each partition stays distance-sorted
+        # the allowed prefix is distance-sorted
         assert (np.diff(dist[i][: nt.limit[i]]) >= 0).all()
-        assert (np.diff(dist[i][nt.limit[i]:]) >= 0).all()
+        # past it, no neighbors: the row's +inf entries (itself and its
+        # same-group others) in ascending index order, cut at n-1 columns
+        infs = [j for j in range(12) if j == i or (groups[i] and groups[j] == groups[i])]
+        assert row[nt.limit[i]:] == infs[: 11 - nt.limit[i]]
+        assert np.isinf(dist[i][nt.limit[i]:]).all()
     assert nt.max_rank == 8
 
 
@@ -319,13 +323,19 @@ def test_bounded_exclude_same_group_is_prefix_of_full_partition(small_blocks):
         order, dist, limit = reference_partitioned_table(ds, exclude_same_group=True)
         nt = build_neighbor_table(ds, exclude_same_group=True)
         np.testing.assert_array_equal(nt.limit, limit)
-        # depths below, at and beyond the smallest usable prefix
+        # depths below, at and beyond the smallest usable prefix; each row
+        # agrees with the reference on its first limit[i] (its neighbors)
         for depth in (1, 4, 11, 12, 40, int(limit.min()), int(limit.max()), ds.n - 1):
             nt_order, nt_dist = table_arrays(nt, depth)
-            np.testing.assert_array_equal(nt_order, order[:, :depth])
-            np.testing.assert_array_equal(nt_dist, dist[:, :depth])
+            assert nt_order.shape == (ds.n, depth)
+            for i in range(ds.n):
+                m = min(depth, limit[i])
+                np.testing.assert_array_equal(nt_order[i, :m], order[i, :m])
+                np.testing.assert_array_equal(nt_dist[i, :m], dist[i, :m])
         rows = np.arange(0, ds.n, 7)
-        np.testing.assert_array_equal(nt.ranked(rows, ds.n - 1), order[rows])
+        deep = nt.ranked(rows, ds.n - 1)
+        for r, i in enumerate(rows):
+            np.testing.assert_array_equal(deep[r, :limit[i]], order[i, :limit[i]])
 
 
 def test_streamed_curves_equal_full_table_curves(small_blocks):
@@ -387,7 +397,10 @@ def test_ranks_identical_for_any_worker_count(small_blocks, monkeypatch, switch_
             for rows in (slice(None), np.arange(3, ds.n, 5), np.arange(10, 50)):
                 serial, *threaded = by_worker_count(monkeypatch,
                                                     lambda: nt.ranked(rows, depth))
-                np.testing.assert_array_equal(serial, order[rows, :depth])
+                # the reference's order inside each row's neighbors
+                for r, i in enumerate(np.arange(ds.n)[rows]):
+                    m = min(depth, limit[i])
+                    np.testing.assert_array_equal(serial[r, :m], order[i, :m])
                 for ranks in threaded:
                     np.testing.assert_array_equal(ranks, serial)
 
@@ -395,10 +408,10 @@ def test_ranks_identical_for_any_worker_count(small_blocks, monkeypatch, switch_
 def test_ranking_task_error_reaches_the_caller(small_blocks, monkeypatch):
     nt = build_neighbor_table(make_random_dataset(seed=3, n=60, dim=4))
 
-    def failing(d, rows, depth, groups):
+    def failing(d, rows, depth):
         if 30 in rows:
             raise MemoryError("the block of row 30")
-        return rank_block(d, rows, depth, groups)
+        return rank_block(d, rows, depth)
 
     rank_block = neighbors._rank_block
     monkeypatch.setattr(neighbors, "_rank_block", failing)
