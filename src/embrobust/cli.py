@@ -2,10 +2,12 @@
 
 Every subcommand is a thin wrapper over the library; numeric outputs are
 the library results unchanged. All randomness flows from --seed, so two
-runs with identical flags produce identical bytes. Each run has a manifest
-of its resolved parameters, inputs and output files: the JSON report
-embeds it under "run", SVG roots carry its id, and a run without a JSON
-report (``synth``, ``curves``) writes it to ``<subcommand>_run.json``.
+runs with identical flags produce identical bytes, whether or not an
+earlier subcommand in the same process left a neighbor table to reuse
+(``_embedding_table``). Each run has a manifest of its resolved
+parameters, inputs and output files: the JSON report embeds it under
+"run", SVG roots carry its id, and a run without a JSON report
+(``synth``, ``curves``) writes it to ``<subcommand>_run.json``.
 
 Exit codes: 0 success, 2 usage/input error, 3 analysis-precondition failure.
 """
@@ -30,7 +32,7 @@ from .evaluation import (DEFAULT_K_GRID, DEFAULT_LAMBDA, AnalysisError,
                          assign_folds, center_error_relation,
                          confounder_analysis, knn_predict, logreg_cv,
                          restrict_for_confounders)
-from .neighbors import build_neighbor_table, frequency_curves
+from .neighbors import NeighborTable, build_neighbor_table, frequency_curves
 from .projection import TsneConfig, trustworthiness, tsne
 from .robustness import DEFAULT_K, UndefinedIndexError, robustness_index
 from .svgplot import (BIO_PALETTE, CONF_PALETTE, LineSeries, render_bar_chart,
@@ -118,6 +120,40 @@ def _inputs(args) -> dict:
     return {"manifest": str(args.manifest), "embeddings": str(args.embeddings)}
 
 
+# The last embedding-space table built, as (key, table), so that the next
+# subcommand run in the same process (``main`` called again, as by
+# scripts/run_full_analysis.py) reuses it instead of recomputing the n×n
+# cosine product. Separate processes share nothing. At most one n×n matrix
+# is alive at a time: a miss drops the held table before it builds, and
+# every other n×n builder (``tsne``, ``eval --coords``) drops it first.
+_held_table: tuple[tuple, NeighborTable] | None = None
+
+
+def _drop_table() -> None:
+    global _held_table
+    _held_table = None
+
+
+def _embedding_table(ds: EmbeddingDataset, exclude: bool) -> NeighborTable:
+    """The cosine table of ``ds``, the held one if it was built from the same
+    vectors (bytes, dtype and shape) and, under exclusion, the same group ids.
+
+    Paths are not part of the key: a file rewritten in place misses.
+    """
+    global _held_table
+    vectors = np.ascontiguousarray(ds.vectors)
+    key = (hashlib.sha256(vectors).hexdigest(), vectors.dtype.str, vectors.shape,
+           hashlib.sha256(json.dumps(ds.group_ids).encode()).hexdigest() if exclude else None)
+    held = _held_table  # one read: the pair, never a key and another's table
+    if held is not None and held[0] == key:
+        return held[1]
+    del held  # or the old table stays alive through the build
+    _drop_table()
+    nt = build_neighbor_table(ds, exclude_same_group=exclude)
+    _held_table = (key, nt)
+    return nt
+
+
 def _bio_colors(ds: EmbeddingDataset) -> dict[str, str]:
     return {c: BIO_PALETTE[i % len(BIO_PALETTE)] for i, c in enumerate(ds.bio_classes)}
 
@@ -192,10 +228,10 @@ def cmd_synth(args) -> int:
 
 
 def _index_entry(name: str, manifest: str, embeddings: str, args) -> dict:
-    """One model's report; its dataset and n×n table are freed on return."""
+    """One model's report; its dataset is freed on return, and its n×n table
+    when the next model's is built."""
     ds = load_dataset(manifest, embeddings)
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
-    report = robustness_index(ds, nt, args.k)
+    report = robustness_index(ds, _embedding_table(ds, args.exclude_same_group), args.k)
     return {"name": name, **report.to_dict(), "r_k_display": report.r_k_display}
 
 
@@ -231,7 +267,7 @@ def cmd_index(args) -> int:
 
 def cmd_curves(args) -> int:
     ds = _load(args)
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
+    nt = _embedding_table(ds, args.exclude_same_group)
     curves = frequency_curves(ds, nt)
     run = _make_run("curves", {"exclude_same_group": args.exclude_same_group},
                     _inputs(args))
@@ -295,13 +331,7 @@ def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
     return np.array([rows[i] for i in ds.ids], dtype=np.float64)
 
 
-def _eval_block(ds, vectors, metric, targets, k, lam, folds, max_iter,
-                exclude_same_group=False):
-    probe_ds = EmbeddingDataset.from_arrays(
-        ds.ids, vectors, ds.bio_labels, ds.conf_labels, ds.group_ids,
-        require_nonzero=(metric == "cosine"))
-    nt = build_neighbor_table(probe_ds, metric=metric,
-                              exclude_same_group=exclude_same_group)
+def _eval_block(probe_ds, nt, targets, k, lam, folds, max_iter):
     block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
     for target in targets:
         kr = knn_predict(probe_ds, nt, folds, target, k)
@@ -339,13 +369,18 @@ def cmd_eval(args) -> int:
         "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
 
+    probes = (targets, args.k, args.lam, folds, args.logreg_max_iter)
     payload = {"embedding": _eval_block(
-        ds, ds.vectors, "cosine", targets, args.k, args.lam, folds,
-        args.logreg_max_iter, exclude_same_group=args.exclude_same_group)}
+        ds, _embedding_table(ds, args.exclude_same_group), *probes)}
     if coords is not None:
+        _drop_table()
+        coords_ds = EmbeddingDataset.from_arrays(
+            ds.ids, coords, ds.bio_labels, ds.conf_labels, ds.group_ids,
+            require_nonzero=False)
         payload["tsne2d"] = _eval_block(
-            ds, coords, "euclidean", targets, args.k, args.lam, folds,
-            args.logreg_max_iter, exclude_same_group=args.exclude_same_group)
+            coords_ds, build_neighbor_table(coords_ds, metric="euclidean",
+                                            exclude_same_group=args.exclude_same_group),
+            *probes)
     reports: dict = {"eval.json": payload}
     if args.target == "both":  # the accuracy scatter needs both axes
         reports["accuracy_embedding.svg"] = _accuracy_scatter(
@@ -364,7 +399,7 @@ def cmd_eval(args) -> int:
 def cmd_confounders(args) -> int:
     ds = _load(args)
     restricted = restrict_for_confounders(ds)
-    nt = build_neighbor_table(restricted, exclude_same_group=args.exclude_same_group)
+    nt = _embedding_table(restricted, args.exclude_same_group)
     seeds = tuple(range(args.seed, args.seed + args.reps))
     report = confounder_analysis(restricted, nt, seeds, n_folds=args.folds,
                                  k_grid=args.k_grid)
@@ -407,6 +442,7 @@ def cmd_tsne(args) -> int:
     if args.tsne_iters < args.tsne_early_iters:
         raise UsageError(f"--tsne-iters must cover --tsne-early-iters, got "
                          f"{args.tsne_iters} < {args.tsne_early_iters}")
+    _drop_table()  # before anything else: the t-SNE holds n×n arrays of its own
     ds = _load(args)
     if ds.n < 10:
         raise UsageError(f"t-SNE needs at least 10 samples, got {ds.n}")
@@ -443,7 +479,7 @@ def cmd_tsne(args) -> int:
 
 def cmd_relation(args) -> int:
     ds = _load(args)
-    nt = build_neighbor_table(ds, exclude_same_group=args.exclude_same_group)
+    nt = _embedding_table(ds, args.exclude_same_group)
     seeds = tuple(range(args.seed, args.seed + args.reps))
     rel = center_error_relation(
         ds, nt, seeds, k_grid=args.k_grid, lam=args.lam, n_folds=args.folds,

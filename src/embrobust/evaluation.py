@@ -167,7 +167,8 @@ def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
     Row i holds the ``depth`` nearest neighbors of the i-th given sample among
     samples outside its own fold, in rank order, read from ``ranked``, the
     first columns of every row of ``nt``'s ranking. Rows whose columns there
-    hold fewer are ranked in full, which holds ``depth`` of them once
+    hold fewer are ranked through all their neighbors, as deep as the largest
+    ``limit`` among them, which holds ``depth`` of them once
     ``_check_training_size(nt, folds, depth)`` has passed.
     """
     fold_of = folds.fold_of
@@ -182,7 +183,7 @@ def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
     if not short.any():
         return _take_training(sub, ok, depth)
     deep_rows = np.arange(nt.n)[rows][short]
-    deep = nt.ranked(deep_rows, nt.n - 1)
+    deep = nt.ranked(deep_rows, int(nt.limit[deep_rows].max()))
     out = np.empty((len(sub), depth), dtype=np.intp)
     out[short] = _take_training(deep, usable(deep_rows, deep), depth)
     out[~short] = _take_training(sub[~short], ok[~short], depth)

@@ -220,19 +220,29 @@ class FrequencyCurves:
         return np.arange(1, len(self.f_bio) + 1)
 
 
+def _check_rows(bad: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` naming the first row where ``bad`` holds."""
+    if bad.any():
+        raise ValueError(message.format(row=int(np.nonzero(bad)[0][0])))
+
+
 def pairwise_distances(vectors: np.ndarray, metric: str = "cosine") -> np.ndarray:
     """Dense symmetric distance matrix with an exact-zero diagonal.
 
     Float32 vectors are widened to float64 inside the first operations
     that read them, which is exact, so the result has the bits that a
-    float64 copy of them gives, without holding that copy.
+    float64 copy of them gives, without holding that copy. Raises
+    ``ValueError``, naming the first such row, for a vector whose distances
+    would not be finite: under cosine one whose norm is zero or overflows,
+    under euclidean one whose squared norm exceeds a quarter of float64's
+    largest value.
     """
     v = np.asarray(vectors)
     if metric == "cosine":
-        norms = np.sqrt(np.multiply(v, v, dtype=np.float64).sum(axis=1))
-        if (norms == 0.0).any():
-            bad = int(np.nonzero(norms == 0.0)[0][0])
-            raise ValueError(f"zero-norm vector at row {bad}")
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.multiply(v, v, dtype=np.float64).sum(axis=1))
+        _check_rows(norms == 0.0, "zero-norm vector at row {row}")
+        _check_rows(~np.isfinite(norms), "vector at row {row}: its norm is not a finite float64")
         unit = np.divide(v, norms[:, None], dtype=np.float64)
         del v
         # the symmetric product: a row-blocked one differs in the last bit
@@ -242,7 +252,11 @@ def pairwise_distances(vectors: np.ndarray, metric: str = "cosine") -> np.ndarra
         np.clip(d, 0.0, 2.0, out=d)
     elif metric == "euclidean":
         v = np.asarray(v, dtype=np.float64)
-        sq = (v * v).sum(axis=1)
+        with np.errstate(over="ignore"):
+            sq = (v * v).sum(axis=1)
+        # then |v_i.v_j| <= max/4 too, and each (sq_i + sq_j) - 2 v_i.v_j is finite
+        _check_rows(~(sq <= np.finfo(np.float64).max / 4), "vector at row {row}: its "
+                    "squared norm exceeds a quarter of float64's largest value")
         d = v @ v.T
         d *= 2.0
         # (sq_i + sq_j) - 2 v_i.v_j in place, a row block at a time: one n×n array
@@ -281,8 +295,9 @@ def build_neighbor_table(
         sizes = np.bincount(groups[grouped])
         limit[grouped] -= sizes[groups[grouped]] - 1
 
-    for arr in (limit, d):
-        arr.flags.writeable = False
+    for arr in (limit, d, groups):
+        if arr is not None:
+            arr.flags.writeable = False
     return NeighborTable(limit, d, groups)
 
 

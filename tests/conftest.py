@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from embrobust import EmbeddingDataset, SynthSpec, generate
+from embrobust import EmbeddingDataset, SynthSpec, cli, generate
 
 # HYPOTHESIS_PROFILE=ci (set in CI) fixes the example sequence and prints a
 # reproduction blob with any failure, so a fuzz failure there reruns here.
@@ -25,6 +25,13 @@ SPARSE_CELLS = np.array([
     [1, 0, 1, 0, 1],
     [1, 1, 1, 1, 0],
 ])
+
+
+@pytest.fixture(autouse=True)
+def _cold_cli():
+    """Each test starts with no neighbor table held from an earlier test's
+    CLI calls; the calls within a test share one as a process would."""
+    cli._drop_table()
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

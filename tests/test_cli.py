@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -202,6 +204,122 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
                           for p in sorted(out.rglob("*")) if p.is_file()})
     assert len(snapshots[0]) == 21
     assert snapshots[0] == snapshots[1]
+
+
+def grouped_pipeline(tmp_path, n_bio=3, n_conf=3, per_cell=12):
+    """A saved dataset in groups of 3 (every fifth sample ungrouped) and the
+    argvs of the six analysis subcommands on it, without and with
+    --exclude-same-group, into out/plain and out/grouped: {name: argv}."""
+    ds = generate(SynthSpec(n_bio=n_bio, n_conf=n_conf, per_cell=per_cell, dim=16,
+                            noise_sigma=0.6, conf_strength=1.2, seed=9))
+    ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
+                                      [f"g{i // 3}" if i % 5 else "" for i in range(ds.n)])
+    save_dataset(ds, tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
+    ds_flags = ["--manifest", str(tmp_path / "manifest.csv"),
+                "--embeddings", str(tmp_path / "embeddings.bin")]
+    commands = {}
+    for grouping in ([], ["--exclude-same-group"]):
+        out = tmp_path / "out" / ("grouped" if grouping else "plain")
+        flags = [*ds_flags, *grouping, "--out-dir", str(out)]
+        commands.update({f"{name} {out.name}": argv for name, argv in (
+            ("index", ["index", *flags, "--k", "10"]),
+            ("curves", ["curves", *flags]),
+            ("tsne", ["tsne", *ds_flags, "--out-dir", str(out), "--perplexity", "8",
+                      "--tsne-iters", "60", "--tsne-early-iters", "20"]),
+            ("eval", ["eval", *flags, "--coords", str(out / "tsne_coords.csv"),
+                      "--logreg-max-iter", "200"]),
+            ("confounders", ["confounders", *flags, "--k-grid", "1,2,4,8", "--reps", "2"]),
+            ("relation", ["relation", *flags, "--k-grid", "1,2,4", "--reps", "2",
+                          "--logreg-max-iter", "200"]))})
+    return commands
+
+
+def test_subcommands_in_one_process_write_what_fresh_processes_write(tmp_path):
+    """The six analysis subcommands, without and with --exclude-same-group,
+    write the same bytes run in one interpreter, which shares neighbor
+    tables between them, as each run in an interpreter of its own."""
+    commands = list(grouped_pipeline(tmp_path).values())
+    out = tmp_path / "out"
+    src = Path(embrobust.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = ("import json, sys\n"
+              "from embrobust.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+    snapshots = []
+    for batches in ([commands], [[argv] for argv in commands]):
+        shutil.rmtree(out, ignore_errors=True)
+        for batch in batches:
+            done = subprocess.run([sys.executable, "-c", script, json.dumps(batch)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        snapshots.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(snapshots[0]) == 2 * 19
+    assert snapshots[0] == snapshots[1]
+
+
+def test_rewritten_inputs_are_not_served_a_held_table(tmp_path):
+    """Embeddings rewritten in place with other vectors, or a manifest with
+    other group ids under --exclude-same-group, give the report of a run
+    that held no table before it."""
+    ds = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=8, dim=16, noise_sigma=0.6, seed=1))
+    other = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=8, dim=16, noise_sigma=0.6, seed=2))
+    regrouped = EmbeddingDataset.from_arrays(other.ids, other.vectors, other.bio_labels,
+                                             other.conf_labels,
+                                             [f"g{i % 12}" for i in range(other.n)])
+    manifest, embeddings = tmp_path / "manifest.csv", tmp_path / "embeddings.bin"
+    report = tmp_path / "out" / "robustness.json"
+    for grouping in ([], ["--exclude-same-group"]):
+        flags = ["index", "--manifest", str(manifest), "--embeddings", str(embeddings),
+                 "--k", "5", "--out-dir", str(tmp_path / "out"), *grouping]
+        reports = []
+        for content in (ds, other, regrouped):
+            save_dataset(content, manifest, embeddings)
+            assert main(flags) == 0  # after a run on the previous content
+            reports.append(report.read_bytes())
+            cli._drop_table()
+            assert main(flags) == 0
+            assert report.read_bytes() == reports[-1]
+        assert reports[0] != reports[1]
+        assert (reports[1] != reports[2]) == bool(grouping)
+
+
+def test_shared_table_raises_no_subcommands_traced_peak(tmp_path, monkeypatch):
+    """In one process at n = 600, no subcommand traces more than 1 MiB above
+    its peak with no table held before it: the held table (2.9 MB) is
+    dropped before tsne, and before eval --coords builds its second table,
+    so eval --coords peaks no higher than eval without coordinates."""
+    # one worker: with two, whether two 1 MB tasks overlap moves a peak by 1 MiB
+    monkeypatch.setattr(neighbors, "_workers", lambda: 1)
+    commands = {name: argv for name, argv in
+                grouped_pipeline(tmp_path, n_bio=5, n_conf=5, per_cell=24).items()
+                if name.endswith("plain")}
+    at = commands["eval plain"].index("--coords")
+    plain_eval = commands["eval plain"][:at] + commands["eval plain"][at + 2:]
+
+    def peak(argv) -> int:
+        gc.collect()
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        for argv in commands.values():  # what first calls allocate for good
+            assert main(argv) == 0
+        cli._drop_table()
+        warm = {name: peak(argv) for name, argv in commands.items()}
+        cold = {}
+        for name, argv in commands.items():
+            cli._drop_table()
+            cold[name] = peak(argv)
+        cli._drop_table()
+        eval_without_coords = peak(plain_eval)
+    finally:
+        tracemalloc.stop()
+    for name in commands:
+        assert warm[name] <= cold[name] + 2**20, (name, warm[name], cold[name])
+    assert warm["eval plain"] <= eval_without_coords + 2**20
 
 
 def test_outputs_identical_across_ranking_worker_counts(tmp_path, monkeypatch):
@@ -587,8 +705,9 @@ def test_parse_errors_are_one_line(tmp_path, capsys, nothing_generated, argv, me
     assert not out.exists()
 
 
-def test_index_holds_one_model_at_a_time(workspace, tmp_path, monkeypatch):
-    """When the table of model m is built, those of earlier models are freed."""
+def record_builds(monkeypatch) -> list:
+    """Weak references to every table the CLI builds from now on; a build
+    fails while a table built before it is alive."""
     built = []
 
     def build(ds, **kwargs):
@@ -598,13 +717,35 @@ def test_index_holds_one_model_at_a_time(workspace, tmp_path, monkeypatch):
         return nt
 
     monkeypatch.setattr(cli, "build_neighbor_table", build)
+    return built
+
+
+def test_index_holds_one_model_at_a_time(tmp_path, monkeypatch):
+    """When the table of model m is built, those of earlier models are freed."""
+    flags = ["index", "--out-dir", str(tmp_path / "out"), "--k", "5"]
+    for m in range(3):
+        ds = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=6, dim=16, seed=m))
+        save_dataset(ds, tmp_path / f"m{m}.csv", tmp_path / f"e{m}.bin")
+        flags += ["--manifest", str(tmp_path / f"m{m}.csv"),
+                  "--embeddings", str(tmp_path / f"e{m}.bin")]
+    built = record_builds(monkeypatch)
+    assert main(flags) == 0
+    assert len(built) == 3
+
+
+def test_index_builds_one_table_for_one_model_listed_three_times(workspace, tmp_path,
+                                                                 monkeypatch):
+    built = record_builds(monkeypatch)
     data = workspace / "data"
     flags = ["index", "--out-dir", str(tmp_path), "--k", "5"]
     for _ in range(3):
         flags += ["--manifest", str(data / "manifest.csv"),
                   "--embeddings", str(data / "embeddings.bin")]
     assert main(flags) == 0
-    assert len(built) == 3
+    assert len(built) == 1
+    entries = json.loads((tmp_path / "robustness.json").read_text())["datasets"]
+    assert len(entries) == 3
+    assert entries == [entries[0]] * 3
 
 
 def test_index_ten_models_of_mixed_width(tmp_path):

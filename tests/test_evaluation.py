@@ -223,6 +223,34 @@ def test_training_prefix_ranks_deeper_when_stored_prefix_is_short(monkeypatch):
     assert messages[0] == messages[1]
 
 
+def test_short_rows_rank_only_to_their_deepest_limit(monkeypatch):
+    """Rows short of training neighbors are re-ranked as deep as the largest
+    ``limit`` among them, not n-1, with the prefix the n-1 ranking gives."""
+    base = make_random_dataset(seed=43, n=60, dim=5)
+    sizes = [9, 6, 4, 3, 2, 2, 1, 1]  # groups of mixed size, then ungrouped samples
+    groups = [f"g{g}" for g, size in enumerate(sizes) for _ in range(size)]
+    groups += [""] * (base.n - len(groups))
+    ds = EmbeddingDataset.from_arrays(base.ids, base.vectors, base.bio_labels,
+                                      base.conf_labels, groups)
+    nt = build_neighbor_table(ds, exclude_same_group=True)
+    fold_of = np.arange(ds.n) % 3
+    folds = FoldAssignment(fold_of, 3)
+    full = nt.ranked(slice(None), ds.n - 1)
+    ok = (fold_of[full] != fold_of[:, None]) & (np.arange(ds.n - 1) < nt.limit[:, None])
+    shallow = nt.ranked(slice(None), 3)
+    calls = count_rankings(monkeypatch)
+    # every row, then the 9-sample group's alone: their limit is n - 9
+    for rows in (np.arange(ds.n), np.arange(9)):
+        for k in (2, 5, 20):
+            calls.clear()
+            got = _training_neighbor_prefix(nt, shallow, folds, rows, k)
+            assert got.tolist() == [full[i][ok[i]][:k].tolist() for i in rows]
+            short = (ok[rows, :3].sum(axis=1) < k)
+            assert short.any()
+            assert calls == [(int(short.sum()), int(nt.limit[rows[short]].max()))]
+    assert calls == [(9, ds.n - 9)]
+
+
 def test_knn_perfect_on_tight_clusters():
     ds = make_synth(seed=4, n_bio=3, n_conf=1, per_cell=12, dim=16,
                     bio_strength=1.0, conf_strength=0.0, noise_sigma=0.02)

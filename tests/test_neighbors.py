@@ -157,6 +157,36 @@ def test_euclidean_distances_match_dense_formula_bit_for_bit(n, d):
     assert neighbors.pairwise_distances(v, "euclidean").tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_overflowing_vectors_raise_naming_the_row(metric):
+    """Float64 vectors whose distances would overflow raise ``ValueError``
+    before any numpy warning; with exclusion, such inf or NaN distances had
+    ranked row 0 as [0, 1, 3] though ``limit[0]`` is 2."""
+    vectors = np.array([[1e200, 1e200], [-1e200, -1e200], [1e200, -1e200], [-1e200, 1e200]])
+    ds = EmbeddingDataset.from_arrays(list("abcd"), vectors, ["t"] * 4, ["c"] * 4,
+                                      ["g", "g", "", ""])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row 0"):
+            build_neighbor_table(ds, metric=metric, exclude_same_group=True)
+        with pytest.raises(ValueError, match="row 2"):
+            neighbors.pairwise_distances(np.vstack([[1.0, 2.0], [3.0, 1.0], vectors]), metric)
+
+
+def test_euclidean_accepts_squared_norms_up_to_a_quarter_of_the_range():
+    edge = np.sqrt(np.finfo(np.float64).max / 4) / np.sqrt(2.0)
+    vectors = np.array([[edge, edge], [-edge, -edge], [edge, -edge], [0.0, 0.0]])
+    assert ((vectors * vectors).sum(axis=1)[:3] <= np.finfo(np.float64).max / 4).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = neighbors.pairwise_distances(vectors, "euclidean")
+    assert np.isfinite(d).all()
+    assert d[0, 3] == d[2, 3] > 0.0
+    with pytest.raises(ValueError, match="row 1: its squared norm exceeds"):
+        neighbors.pairwise_distances(vectors * [[1.0], [1.0 + 1e-15], [1.0], [1.0]],
+                                     "euclidean")
+
+
 def test_frequency_curve_single_bio_class():
     ds = make_random_dataset(seed=3, n=30, dim=5, n_bio=1, n_conf=3)
     nt = build_neighbor_table(ds)
@@ -218,6 +248,22 @@ def test_exclude_same_group():
         assert row[nt.limit[i]:] == infs[: 11 - nt.limit[i]]
         assert np.isinf(dist[i][nt.limit[i]:]).all()
     assert nt.max_rank == 8
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_every_table_array_is_read_only(metric, exclude):
+    """A table may be shared by several analyses, so none can change it."""
+    ds = make_random_dataset(seed=5, n=12, dim=3)
+    ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
+                                      [f"g{i % 4}" for i in range(ds.n)])
+    nt = build_neighbor_table(ds, metric=metric, exclude_same_group=exclude)
+    arrays = [v for v in vars(nt).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == (3 if exclude else 2)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 # ---------------------------------------------------------------------------
