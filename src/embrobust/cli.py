@@ -279,7 +279,7 @@ def cmd_curves(args) -> int:
             [LineSeries(curves.ranks, curves.f_bio, "#1f77b4", "same biological class"),
              LineSeries(curves.ranks, curves.f_conf, "#ff7f0e", "same confounder class")],
             title="Per-rank same-label frequency", xlabel="neighbor rank",
-            ylabel="fraction of samples", y_range=(0.0, 1.0), meta=run["run_id"]),
+            ylabel="fraction of samples", meta=run["run_id"]),
     })
     print(f"wrote frequency curves for {ds.n} samples ({nt.max_rank} ranks)")
     return 0
@@ -430,7 +430,7 @@ def cmd_confounders(args) -> int:
              LineSeries(ks, report.acc_bio, "#2ca02c", "biological accuracy", markers=True),
              LineSeries(ks, report.acc_conf, "#1f77b4", "confounder accuracy", markers=True)],
             title="Same-center confounders", xlabel="neighbor count k",
-            ylabel="fraction / accuracy", log_x=True, y_range=(0.0, 1.0),
+            ylabel="fraction / accuracy", log_x=True,
             h_rules=[(report.chance_level, "chance level")], meta=run["run_id"]),
     })
     print(f"restricted to {len(report.bio_classes)} biological classes; "
@@ -507,8 +507,7 @@ def cmd_relation(args) -> int:
                         "logreg error rate", markers=True)],
             title="Regression errors vs center-related kNN errors",
             xlabel="fraction of kNN runs with a center-related error",
-            ylabel="logistic regression error rate", y_range=(0.0, 1.0),
-            meta=run["run_id"]),
+            ylabel="logistic regression error rate", meta=run["run_id"]),
     })
     print(f"center-related errors observed for "
           f"{int((rel.fraction_center_error > 0).sum())} samples")

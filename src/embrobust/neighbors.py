@@ -15,26 +15,26 @@ pairs get distance +inf, as the diagonal does, so one kernel ranks every table.
 
 Row blocks run as tasks on every core in the process's CPU affinity
 (``_workers``), on the threads of one pool (``_map_blocks``): ranking, the
-per-rank counts of ``frequency_curves``, the kNN probe and kNN-run
-ensemble of ``evaluation``, and ``projection.trustworthiness``. Every
-stage sizes its tasks with ``_row_blocks`` and each task is a pure
-function of its rows: it writes or returns only its own rows' results, so
-they are the same for any worker count, and ``taskset -c 0`` makes every
-stage serial. No task raises an analysis error: the kNN analyses check
+per-rank same-label counts (``_same_label_counts``) of ``frequency_curves``
+and ``robustness.robustness_index``, the kNN probe and kNN-run ensemble of
+``evaluation``, and ``projection.trustworthiness``. Every stage sizes its
+tasks with ``_row_blocks`` and each task is a pure function of its rows:
+it writes or returns only its own rows' results, so they are the same for
+any worker count, and ``taskset -c 0`` makes every stage serial. No task raises an analysis error: the kNN analyses check
 each sample's training-neighbor count before they rank. Tasks requested
-from a pool thread (a curve task ranking its rows, the deep re-rank of a
+from a pool thread (a count task ranking its rows, the deep re-rank of a
 kNN task's short rows) run inline in that thread, so a task never waits
 on its own pool.
 
-Memory: the n×n float64 distance matrix, held by the table, plus during an
-analysis call the (n, depth) ranks and, per pool thread, the temporaries of
-one task. Tasks are sized by what they allocate, about ``_TASK_ELEMS``
+Memory: the n×n float64 distance matrix, held by the table, plus during a
+kNN analysis call the (n, depth) ranks and, per pool thread, the temporaries
+of one task. Tasks are sized by what they allocate, about ``_TASK_ELEMS``
 elements (1 MB of 8-byte values): a ranking task, n-wide per row,
 holds 1 MB of ranks (37 rows at n = 3500). glibc gives each thread its
 own malloc arena, which keeps the freed temporaries of its largest task
 resident: after ``index``, ``curves`` and ``confounders`` at n = 3500 on two
-cores the two arenas held 3.3 MiB (``malloc_info``). ``frequency_curves``
-never holds an (n, n−1) table.
+cores the two arenas held 3.3 MiB (``malloc_info``). The index and the
+curves hold no rank table: each task counts the ranks it made.
 """
 
 from __future__ import annotations
@@ -301,29 +301,34 @@ def build_neighbor_table(
     return NeighborTable(limit, d, groups)
 
 
-def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves:
-    """Per-rank same-label fractions over ranks 1..nt.max_rank.
+def _same_label_counts(ds: EmbeddingDataset, nt: NeighborTable, depth: int) -> np.ndarray:
+    """(2, depth) integer counts of the samples whose j-th neighbor shares
+    the biological label (row 0) and the confounder label (row 1), j = 1..depth.
 
     Each row-block task ranks its rows and returns their per-rank counts,
-    so no (n, max_rank) table is held. Raises ``ValueError`` when no rank is
-    usable by every sample, which group exclusion causes when one group
-    holds every sample.
+    so no (n, depth) table is held.
     """
-    depth = nt.max_rank
-    if depth == 0:
-        raise ValueError("no neighbor rank is usable by every sample under group "
-                         f"exclusion (one group holds all {nt.n} samples)")
-
     def counts(rows: slice) -> np.ndarray:
         neigh = nt.ranked(rows, depth)
         return np.stack([(codes[neigh] == codes[rows, None]).sum(axis=0)
                          for codes in (ds.bio_codes, ds.conf_codes)])
 
-    # a task allocates its rows' ranks, sorted distances and label codes,
-    # each n wide
-    same_bio, same_conf = sum(_map_blocks(counts, _row_blocks(nt.n, 3 * nt.n)))
-    f_bio = same_bio / nt.n
-    f_conf = same_conf / nt.n
+    # a task allocates its rows' n-wide ranking temporaries and their two
+    # depth-wide label gathers
+    return sum(_map_blocks(counts, _row_blocks(nt.n, nt.n + 2 * depth)))
+
+
+def frequency_curves(ds: EmbeddingDataset, nt: NeighborTable) -> FrequencyCurves:
+    """Per-rank same-label fractions over ranks 1..nt.max_rank.
+
+    Raises ``ValueError`` when no rank is usable by every sample, which
+    group exclusion causes when one group holds every sample.
+    """
+    depth = nt.max_rank
+    if depth == 0:
+        raise ValueError("no neighbor rank is usable by every sample under group "
+                         f"exclusion (one group holds all {nt.n} samples)")
+    f_bio, f_conf = _same_label_counts(ds, nt, depth) / nt.n
     f_bio.flags.writeable = False
     f_conf.flags.writeable = False
     return FrequencyCurves(f_bio, f_conf)

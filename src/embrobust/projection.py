@@ -58,19 +58,24 @@ class ProjectionResult:
     config: TsneConfig
 
 
+# a row's perplexity is accepted within this of the target, after at most
+# this many bisection steps
+_PERPLEXITY_TOL = 1e-4
+_BISECTION_STEPS = 64
+
+
 def perplexity_calibration(
     sq_dists_row: np.ndarray,
     target_perplexity: float,
-    tol: float = 1e-4,
-    max_iter: int = 64,
 ) -> tuple[float, np.ndarray]:
     """Find the Gaussian bandwidth whose conditional distribution has the
     requested perplexity.
 
     ``sq_dists_row`` holds squared distances to all other samples (self
-    excluded). Returns (sigma, p_row) with p_row summing to 1. When the
-    target is unreachable (degenerate rows, or target >= row length) the
-    row falls back to uniform with a warning.
+    excluded). Returns (sigma, p_row) with p_row summing to 1, at the first
+    bisection step whose perplexity is within ``_PERPLEXITY_TOL`` of the
+    target. When the target is unreachable (degenerate rows, or target >=
+    row length) the row falls back to uniform with a warning.
     """
     d = np.asarray(sq_dists_row, dtype=np.float64)
     m = d.size
@@ -100,12 +105,12 @@ def perplexity_calibration(
 
     target_entropy = np.log2(target_perplexity)
     beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
-    p = None
-    for _ in range(max_iter):
+    # the last pass only checks the step the one before it took
+    for _ in range(_BISECTION_STEPS + 1):
         h, p = entropy_probs(beta)
         if p is None:
             break
-        if abs(2.0 ** h - target_perplexity) <= tol:
+        if abs(2.0 ** h - target_perplexity) <= _PERPLEXITY_TOL:
             return float(np.sqrt(0.5 / beta)), p
         if h > target_entropy:  # too spread out: sharpen
             beta_lo = beta
@@ -113,10 +118,6 @@ def perplexity_calibration(
         else:
             beta_hi = beta
             beta = beta / 2.0 if beta_lo == 0.0 else 0.5 * (beta + beta_lo)
-    if p is not None:
-        h, p = entropy_probs(beta)
-        if p is not None and abs(2.0 ** h - target_perplexity) <= tol:
-            return float(np.sqrt(0.5 / beta)), p
     warnings.warn("perplexity calibration did not converge; using uniform affinities")
     return float("inf"), uniform
 
@@ -246,7 +247,7 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
     if cfg.early_exaggeration_iters < 0:
         raise ValueError(
             f"early exaggeration iterations must be >= 0, got {cfg.early_exaggeration_iters}")
-    vectors = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds, dtype=np.float64)
+    vectors = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds)
     n = vectors.shape[0]
     if n < 10:
         raise AnalysisError(f"t-SNE needs at least 10 samples, got {n}")
@@ -297,7 +298,7 @@ def trustworthiness(
     the ranking pool returns its rows' penalty, an exact integer, so the
     score is the same for any worker count.
     """
-    X = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds, dtype=np.float64)
+    X = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds)
     coords = np.asarray(coords, dtype=np.float64)
     n = X.shape[0]
     if coords.shape[0] != n:

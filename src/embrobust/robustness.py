@@ -5,16 +5,18 @@ other samples: how many neighbors share the biological label (numerator)
 versus how many share the confounder label (denominator). A value above 1
 means biological organization dominates; the chance-level bounds depend
 only on the label composition.
+
+R_k is the k-prefix of the frequency curves' counts: both totals are the
+per-rank same-label counts of ``neighbors._same_label_counts``, summed over
+ranks 1..k, so the index ranks and counts nothing itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .dataset import EmbeddingDataset, chance_levels
-from .neighbors import NeighborTable
+from .neighbors import NeighborTable, _same_label_counts
 
 DEFAULT_K = 50
 
@@ -48,10 +50,6 @@ class RobustnessReport:
         return asdict(self)
 
 
-def _same_label_count(codes: np.ndarray, neigh: np.ndarray) -> int:
-    return int((codes[neigh] == codes[:, None]).sum())
-
-
 def robustness_index(ds: EmbeddingDataset, nt: NeighborTable, k: int = DEFAULT_K) -> RobustnessReport:
     """Compute the index at depth k with its chance-level bounds.
 
@@ -63,9 +61,7 @@ def robustness_index(ds: EmbeddingDataset, nt: NeighborTable, k: int = DEFAULT_K
         raise ValueError(f"k must be >= 1, got {k}")
     if k > nt.max_rank:
         raise ValueError(f"k={k} exceeds usable neighbor depth {nt.max_rank}")
-    neigh = nt.ranked(slice(None), k)
-    numerator = _same_label_count(ds.bio_codes, neigh)
-    denominator = _same_label_count(ds.conf_codes, neigh)
+    numerator, denominator = (int(c) for c in _same_label_counts(ds, nt, k).sum(axis=1))
     if denominator == 0:
         raise UndefinedIndexError(k, numerator)
     r_min, r_max = robustness_bounds(ds)

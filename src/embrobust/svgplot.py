@@ -130,13 +130,13 @@ class Figure:
         return "\n".join([head, *chrome, *self.body, "</svg>"]) + "\n"
 
 
-def _axes_fragment(ax: Axes) -> str:
+def _axes_fragment(ax: Axes, x_ticks: list[float]) -> str:
     parts = []
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     parts.append(f'<line class="axis" x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line class="axis" x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    for t in ax.x_ticks():
+    for t in x_ticks:
         px = ax.px(t)
         label = f"{t:g}"
         parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" stroke="black"/>')
@@ -187,22 +187,14 @@ def render_line_plot(
     ylabel: str = "",
     log_x: bool = False,
     h_rules: list[tuple[float, str]] | None = None,
-    y_range: tuple[float, float] | None = None,
     meta: str = "",
 ) -> str:
+    """Line plot on a y axis fixed at [0, 1]: every plotted series is a
+    fraction or a rate."""
     xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    if y_range is None:
-        ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
-        ys = ys[np.isfinite(ys)]
-        y_lo, y_hi = (0.0, 1.0) if ys.size == 0 else (min(0.0, float(ys.min())), float(ys.max()) * 1.05)
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
-    else:
-        y_lo, y_hi = y_range
-    ax = Axes(x_lo, x_hi, y_lo, y_hi, log_x=log_x)
+    ax = Axes(float(xs.min()), float(xs.max()), 0.0, 1.0, log_x=log_x)
     fig = Figure(title=title, xlabel=xlabel, ylabel=ylabel, meta=meta)
-    fig.add(_axes_fragment(ax))
+    fig.add(_axes_fragment(ax, ax.x_ticks()))
     for value, label in h_rules or []:
         py = ax.py(value)
         fig.add(f'<line class="rule" data-label="{_esc(label)}" x1="{MARGIN_L}" '
@@ -217,17 +209,19 @@ def render_line_plot(
 
 def render_bar_chart(
     items: list[tuple[str, float]],
+    value_labels: list[str],
+    ref_line: float,
     title: str = "",
     ylabel: str = "",
-    ref_line: float | None = None,
-    value_labels: list[str] | None = None,
     meta: str = "",
 ) -> str:
+    """Named bars, each topped by its entry of ``value_labels``, with a
+    dashed rule at ``ref_line``. The x axis is the bar names: it has no ticks."""
     values = [v for _, v in items]
-    y_hi = max([*values, ref_line or 0.0, 0.0]) * 1.15 or 1.0
+    y_hi = max([*values, ref_line, 0.0]) * 1.15 or 1.0
     ax = Axes(0.0, 1.0, 0.0, y_hi)
     fig = Figure(title=title, ylabel=ylabel, meta=meta)
-    fig.add(_axes_fragment(ax))
+    fig.add(_axes_fragment(ax, []))
     span = WIDTH - MARGIN_L - MARGIN_R
     slot = span / max(len(items), 1)
     bar_w = slot * 0.6
@@ -238,16 +232,14 @@ def render_bar_chart(
         fig.add(f'<rect class="bar" data-label="{_esc(label)}" x="{_fmt(cx - bar_w / 2)}" '
                 f'y="{_fmt(top)}" width="{_fmt(bar_w)}" height="{_fmt(base - top)}" '
                 f'fill="{BIO_PALETTE[i % len(BIO_PALETTE)]}"/>')
-        shown = value_labels[i] if value_labels else f"{value:.3g}"
         fig.add(f'<text class="bar-value" x="{_fmt(cx)}" y="{_fmt(top - 4)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_esc(shown)}</text>')
+                f'font-family="sans-serif" font-size="11">{_esc(value_labels[i])}</text>')
         fig.add(f'<text class="bar-name" x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 18}" '
                 f'text-anchor="middle" font-family="sans-serif" font-size="11">{_esc(label)}</text>')
-    if ref_line is not None:
-        py = ax.py(ref_line)
-        fig.add(f'<line class="rule" x1="{MARGIN_L}" y1="{_fmt(py)}" '
-                f'x2="{WIDTH - MARGIN_R}" y2="{_fmt(py)}" stroke="#555555" '
-                f'stroke-dasharray="4 4"/>')
+    py = ax.py(ref_line)
+    fig.add(f'<line class="rule" x1="{MARGIN_L}" y1="{_fmt(py)}" '
+            f'x2="{WIDTH - MARGIN_R}" y2="{_fmt(py)}" stroke="#555555" '
+            f'stroke-dasharray="4 4"/>')
     return fig.render()
 
 
@@ -271,7 +263,7 @@ def render_scatter(
                       xy[:, 1].min() - pad_y, xy[:, 1].max() + pad_y)
     ax = Axes(*axes_range)
     fig = Figure(title=title, xlabel=xlabel, ylabel=ylabel, meta=meta)
-    fig.add(_axes_fragment(ax))
+    fig.add(_axes_fragment(ax, ax.x_ticks()))
     if diagonal:
         lo = max(axes_range[0], axes_range[2])
         hi = min(axes_range[1], axes_range[3])

@@ -422,6 +422,16 @@ def test_index_svg_bars(workspace, tmp_path):
     assert [b.get("data-label") for b in bars] == [e["name"] for e in expected]
 
 
+def test_index_svg_names_bars_without_x_ticks(workspace):
+    """The bar chart's x axis is its bar names: nothing else sits on their
+    baseline."""
+    root = ET.fromstring((workspace / "out" / "robustness_index.svg").read_text())
+    texts = list(root.iter(f"{SVG_NS}text"))
+    baseline = {t.get("y") for t in texts if t.get("class") == "bar-name"}
+    assert len(baseline) == 1
+    assert [t.text for t in texts if t.get("y") in baseline] == ["demo"]
+
+
 def test_confounders_svg_structure(workspace):
     path = workspace / "out" / "confounders.svg"
     assert len(svg_elements(path, "polyline", "series")) == 3

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from embrobust import (EmbeddingDataset, TsneConfig, build_neighbor_table, load_dataset,
-                       logreg_fit, save_dataset, tsne)
+                       logreg_fit, save_dataset, trustworthiness, tsne)
+from embrobust import projection
 from embrobust.neighbors import pairwise_distances
 
 from conftest import make_synth
@@ -47,15 +48,41 @@ def test_logreg_fit_float32_matches_float64_copy(n, d):
     assert got.n_iter == want.n_iter
 
 
+def _spy_on_distances(monkeypatch) -> list:
+    """The dtype of every array that ``projection`` passes to
+    ``pairwise_distances``, in call order."""
+    seen = []
+
+    def spy(vectors, metric="cosine"):
+        seen.append(vectors.dtype)
+        return pairwise_distances(vectors, metric)
+
+    monkeypatch.setattr(projection, "pairwise_distances", spy)
+    return seen
+
+
 @pytest.mark.parametrize("n, d", [(120, 64), (40, 768)])
-def test_tsne_float32_matches_float64_copy(n, d):
-    """n <= 256, where one row block covers every row."""
+def test_tsne_float32_matches_float64_copy(n, d, monkeypatch):
+    """n <= 256, where one row block covers every row. The float32 array
+    reaches ``pairwise_distances`` unwidened, as a dataset's vectors do."""
+    seen = _spy_on_distances(monkeypatch)
     v32 = _float32(n, d, seed=2)
     cfg = TsneConfig(perplexity=10.0, iterations=60, early_exaggeration_iters=20, seed=3)
     got = tsne(v32, cfg)
     want = tsne(v32.astype(np.float64), cfg)
+    assert seen == [np.float32, np.float64]
     assert got.coords.tobytes() == want.coords.tobytes()
     assert got.kl_trace.tobytes() == want.kl_trace.tobytes()
+
+
+def test_trustworthiness_float32_matches_float64_copy(monkeypatch):
+    seen = _spy_on_distances(monkeypatch)
+    v32 = _float32(120, 64, seed=4)
+    coords = np.random.default_rng(5).normal(size=(120, 2))
+    got = trustworthiness(v32, coords)
+    want = trustworthiness(v32.astype(np.float64), coords)
+    assert seen[0] == np.float32
+    assert got == want
 
 
 @pytest.mark.parametrize("fmt, name", [("binary", "e.bin"), ("csv", "e.csv")])

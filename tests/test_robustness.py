@@ -105,16 +105,20 @@ def test_label_swap_inverts_index(small_random_ds):
 
 
 def test_index_matches_frequency_curves(small_random_ds):
+    """R_k's counts are exactly the sums of the curves' first k per-rank
+    counts, with and without group exclusion."""
     ds = small_random_ds
-    nt = build_neighbor_table(ds)
-    curves = frequency_curves(ds, nt)
-    for k in (1, 5, 20):
-        rep = robustness_index(ds, nt, k)
-        from_curves = curves.f_bio[:k].sum() / curves.f_conf[:k].sum()
-        assert rep.r_k == pytest.approx(from_curves, rel=1e-12)
-        # rank-averaged frequency times n*k reproduces the raw counts
-        assert curves.f_bio[:k].mean() * ds.n * k == pytest.approx(
-            rep.numerator, abs=1e-6)
+    # groups of four samples beside ungrouped ones
+    grouped = EmbeddingDataset.from_arrays(
+        ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
+        group_ids=[f"g{i % 8}" if i % 5 else "" for i in range(ds.n)])
+    for data, exclude in ((ds, False), (grouped, True)):
+        nt = build_neighbor_table(data, exclude_same_group=exclude)
+        curves = frequency_curves(data, nt)
+        for k in (1, 5, nt.max_rank):
+            rep = robustness_index(data, nt, k)
+            assert rep.numerator == np.rint(curves.f_bio[:k] * data.n).sum()
+            assert rep.denominator == np.rint(curves.f_conf[:k] * data.n).sum()
 
 
 def test_scaling_leaves_counts_unchanged(small_random_ds):
