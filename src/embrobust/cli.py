@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DatasetError, EmbeddingDataset, load_dataset,
-                      save_dataset)
+from .dataset import (COORDS_HEADER, DatasetError, EmbeddingDataset, load_coords,
+                      load_dataset, save_dataset)
 from .evaluation import (DEFAULT_K_GRID, DEFAULT_LAMBDA, AnalysisError,
                          assign_folds, center_error_relation,
                          confounder_analysis, knn_predict, logreg_cv,
@@ -285,52 +285,6 @@ def cmd_curves(args) -> int:
     return 0
 
 
-# within it, squared distances and the probes' sums of n squared deviations,
-# at most n·(2e150)², stay finite while an n×n matrix fits in memory
-_COORD_BOUND = 1e150
-
-
-def _load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
-    """Read a ``sample_id,x,y`` CSV holding one point per manifest id, each
-    coordinate finite and at most ``_COORD_BOUND`` in magnitude."""
-    known = set(ds.ids)
-    rows: dict[str, tuple[float, float]] = {}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["sample_id", "x", "y"]:
-                raise DatasetError(f"{path}: bad coords header {header!r}")
-            for i, row in enumerate(reader):
-                where = f"{path}: row {i}"
-                if len(row) != 3:
-                    raise DatasetError(f"{where} has {len(row)} fields, expected 3")
-                sid = row[0]
-                try:
-                    xy = (float(row[1]), float(row[2]))
-                except ValueError:
-                    raise DatasetError(f"{where}: non-numeric coordinate in {row[1:]!r}") from None
-                if not (abs(xy[0]) <= _COORD_BOUND and abs(xy[1]) <= _COORD_BOUND):
-                    raise DatasetError(f"{where}: non-finite coordinate, or one over "
-                                       f"{_COORD_BOUND:g} in magnitude, in {row[1:]!r}")
-                if sid in rows:
-                    raise DatasetError(f"{where}: duplicate sample id {sid!r}")
-                if sid not in known:
-                    raise DatasetError(f"{where}: sample id {sid!r} is not in the manifest")
-                rows[sid] = xy
-    except OSError as exc:
-        raise DatasetError(f"cannot read coords {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise DatasetError(f"{path}: coords file is not UTF-8 text") from None
-    except csv.Error as exc:
-        raise DatasetError(f"{path}: {exc}") from None
-    missing = [i for i in ds.ids if i not in rows]
-    if missing:
-        raise DatasetError(f"{path}: missing coords for {len(missing)} samples "
-                           f"(first: {missing[0]!r})")
-    return np.array([rows[i] for i in ds.ids], dtype=np.float64)
-
-
 def _eval_block(probe_ds, nt, targets, k, lam, folds, max_iter):
     block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
     for target in targets:
@@ -360,7 +314,7 @@ def _accuracy_scatter(block: dict, title: str, meta: str) -> str:
 def cmd_eval(args) -> int:
     targets = ("bio", "conf") if args.target == "both" else (args.target,)
     ds = _load(args)
-    coords = _load_coords(args.coords, ds) if args.coords else None
+    coords = load_coords(args.coords, ds) if args.coords else None
     folds = assign_folds(ds, args.folds, args.seed)
     run = _make_run("eval", {
         "k": args.k, "lambda": args.lam, "folds": args.folds, "seed": args.seed,
@@ -462,7 +416,7 @@ def cmd_tsne(args) -> int:
 
     t_k = min(12, (ds.n - 1) // 2)
     _write_reports(args.out_dir, run, {
-        "tsne_coords.csv": [["sample_id", "x", "y"],
+        "tsne_coords.csv": [COORDS_HEADER,
                             *zip(ds.ids, *result.coords.T.tolist())],
         "tsne_kl.csv": [["iter", "kl"], *enumerate(result.kl_trace.tolist())],
         "tsne_bio.svg": coloring(ds.bio_labels, _bio_colors(ds), "biological class"),
@@ -588,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsne", parents=[common, one_ds],
                        help="2D projection with per-label colorings")
-    p.add_argument("--perplexity", type=positive, default=30.0)
+    p.add_argument("--perplexity", type=_at_least(float, 1), default=30.0)
     p.add_argument("--tsne-iters", type=count, default=1000)
     p.add_argument("--tsne-early-iters", type=_at_least(int, 0), default=250)
     p.add_argument("--tsne-early-factor", type=positive, default=12.0)

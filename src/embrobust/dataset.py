@@ -1,5 +1,8 @@
 """Labeled-embedding data model: loading, validation, serialization.
 
+This module reads every input file: the manifest, the embeddings and the
+2D coordinates, the two CSV tables through one reader.
+
 A dataset is a fixed table of n samples, each carrying a d-dimensional
 embedding vector, a biological label (e.g. cancer type), a confounder label
 (e.g. medical center) and an optional group id (e.g. source slide). All
@@ -22,11 +25,12 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 MANIFEST_HEADER = ("sample_id", "bio_label", "conf_label", "group_id")
+COORDS_HEADER = ("sample_id", "x", "y")
 BINARY_MAGIC = b"EMB1"
 BINARY_VERSION = 1
 
@@ -176,31 +180,72 @@ def chance_levels(ds: EmbeddingDataset) -> tuple[float, float]:
     return float(p_bio), float(p_conf)
 
 
-def _read_manifest(manifest_path: Path) -> list[tuple[str, str, str, str]]:
+def _read_table(path: str | Path, header: tuple[str, ...],
+                what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(i, row)``, i from 0, for each row after ``header`` of the
+    UTF-8 CSV file ``path`` (a ``what``), checking each as it is read, so
+    the first defect in the file is the one reported, as a one-line
+    ``DatasetError``."""
     try:
-        with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError(f"{manifest_path}: empty manifest") from None
-            if tuple(header) != MANIFEST_HEADER:
-                raise DatasetError(
-                    f"{manifest_path}: bad header {header!r}, expected {list(MANIFEST_HEADER)}")
-            rows = []
+            first = next(reader, None)
+            if first is None:
+                raise DatasetError(f"{path}: empty {what}")
+            if tuple(first) != header:
+                raise DatasetError(f"{path}: bad header {first!r}, expected {list(header)}")
             for i, row in enumerate(reader):
-                if len(row) != 4:
-                    raise DatasetError(f"{manifest_path}: row {i} has {len(row)} fields, expected 4")
-                if not row[0]:
-                    raise DatasetError(f"{manifest_path}: row {i} has an empty sample_id")
-                rows.append((row[0], row[1], row[2], row[3]))
+                if len(row) != len(header):
+                    raise DatasetError(
+                        f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+                yield i, row
     except OSError as exc:
-        raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
+        raise DatasetError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError:
-        raise DatasetError(f"{manifest_path}: manifest is not UTF-8 text") from None
+        raise DatasetError(f"{path}: {what} is not UTF-8 text") from None
     except csv.Error as exc:  # e.g. a field over csv's 128 KiB limit
-        raise DatasetError(f"{manifest_path}: {exc}") from None
+        raise DatasetError(f"{path}: {exc}") from None
+
+
+def _read_manifest(manifest_path: Path) -> list[list[str]]:
+    rows = []
+    for i, row in _read_table(manifest_path, MANIFEST_HEADER, "manifest"):
+        if not row[0]:
+            raise DatasetError(f"{manifest_path}: row {i} has an empty sample_id")
+        rows.append(row)
     return rows
+
+
+# within it, squared distances and the probes' sums of n squared deviations,
+# at most n·(2e150)², stay finite while an n×n matrix fits in memory
+_COORD_BOUND = 1e150
+
+
+def load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
+    """Read a ``sample_id,x,y`` CSV holding one point per id of ``ds``, in
+    any order, each coordinate finite and at most ``_COORD_BOUND`` in
+    magnitude; returns the (n, 2) float64 points in ``ds.ids`` order."""
+    known = set(ds.ids)
+    points: dict[str, tuple[float, float]] = {}
+    for i, (sid, *xy_text) in _read_table(path, COORDS_HEADER, "coords file"):
+        where = f"{path}: row {i}"
+        try:
+            xy = (float(xy_text[0]), float(xy_text[1]))
+        except ValueError:
+            raise DatasetError(f"{where}: non-numeric coordinate in {xy_text!r}") from None
+        if not (abs(xy[0]) <= _COORD_BOUND and abs(xy[1]) <= _COORD_BOUND):
+            raise DatasetError(f"{where}: non-finite coordinate, or one over "
+                               f"{_COORD_BOUND:g} in magnitude, in {xy_text!r}")
+        if sid in points:
+            raise DatasetError(f"{where}: duplicate sample id {sid!r}")
+        if sid not in known:
+            raise DatasetError(f"{where}: sample id {sid!r} is not in the manifest")
+        points[sid] = xy
+    missing = [i for i in ds.ids if i not in points]
+    if missing:
+        raise DatasetError(f"{path}: missing coords for {len(missing)} samples "
+                           f"(first: {missing[0]!r})")
+    return np.array([points[i] for i in ds.ids], dtype=np.float64)
 
 
 def _read_embeddings_binary(data: bytes, path: Path) -> np.ndarray:

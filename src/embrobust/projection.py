@@ -74,15 +74,15 @@ def perplexity_calibration(
     ``sq_dists_row`` holds squared distances to all other samples (self
     excluded). Returns (sigma, p_row) with p_row summing to 1, at the first
     bisection step whose perplexity is within ``_PERPLEXITY_TOL`` of the
-    target. When the target is unreachable (degenerate rows, or target >=
-    row length) the row falls back to uniform with a warning.
+    target. When the target is unreachable (degenerate rows, a target below
+    1 or one >= the row length) the row falls back to uniform with a warning.
     """
     d = np.asarray(sq_dists_row, dtype=np.float64)
     m = d.size
     if m < 1:
         raise ValueError("empty distance row")
     uniform = np.full(m, 1.0 / m)
-    if target_perplexity >= m or target_perplexity <= 0:
+    if not 1 <= target_perplexity < m:
         warnings.warn(
             f"perplexity {target_perplexity} unreachable for row of {m} neighbors; "
             "using uniform affinities")
@@ -92,24 +92,15 @@ def perplexity_calibration(
 
     def entropy_probs(beta: float) -> tuple[float, np.ndarray]:
         p = np.exp(-beta * shifted)
-        s = p.sum()
-        if s <= 0:
-            return 0.0, None
-        p /= s
-        if p.min() > 0:  # nothing underflowed: no gathers
-            h = -(p * np.log2(p)).sum()
-        else:
-            nz = p > 0
-            h = -(p[nz] * np.log2(p[nz])).sum()
-        return float(h), p
+        p /= p.sum()  # at least 1: ``shifted`` holds a 0
+        nz = p[p > 0]
+        return float(-(nz * np.log2(nz)).sum()), p
 
     target_entropy = np.log2(target_perplexity)
     beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
     # the last pass only checks the step the one before it took
     for _ in range(_BISECTION_STEPS + 1):
         h, p = entropy_probs(beta)
-        if p is None:
-            break
         if abs(2.0 ** h - target_perplexity) <= _PERPLEXITY_TOL:
             return float(np.sqrt(0.5 / beta)), p
         if h > target_entropy:  # too spread out: sharpen
@@ -233,12 +224,14 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
     Deterministic given the seed: initial coordinates are a small isotropic
     Gaussian cloud from a seeded generator. The kl_trace always records the
     divergence against the true (non-exaggerated) affinities. Raises
-    ``ValueError`` for a perplexity, learning rate or early-exaggeration
-    factor that is not a finite number > 0, fewer than one iteration or a
-    negative early-exaggeration length.
+    ``ValueError`` for a perplexity that is not a finite number >= 1 (no
+    distribution has a perplexity 2^H below 1), a learning rate or
+    early-exaggeration factor that is not a finite number > 0, fewer than
+    one iteration or a negative early-exaggeration length.
     """
-    for name, value in (("perplexity", cfg.perplexity),
-                        ("learning rate", cfg.learning_rate),
+    if not (np.isfinite(cfg.perplexity) and cfg.perplexity >= 1):
+        raise ValueError(f"perplexity must be a finite number >= 1, got {cfg.perplexity}")
+    for name, value in (("learning rate", cfg.learning_rate),
                         ("early exaggeration factor", cfg.early_exaggeration_factor)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value}")

@@ -24,6 +24,7 @@ from embrobust import (EmbeddingDataset, SynthSpec, assign_folds,
                        logreg_cv, robustness_index, save_dataset)
 from embrobust import cli, neighbors
 from embrobust.cli import main
+from embrobust.dataset import COORDS_HEADER, MANIFEST_HEADER
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -559,9 +560,10 @@ def test_tsne_too_small_exits_2(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--perplexity", "5", "--tsne-iters", "0", "--tsne-early-iters", "0"],
      "argument --tsne-iters: must be an integer >= 1, got '0'"),
-    (["--perplexity", "0"], "argument --perplexity: must be a finite number > 0, got '0'"),
-    (["--perplexity", "-3"], "argument --perplexity: must be a finite number > 0, got '-3'"),
-    (["--perplexity", "nan"], "argument --perplexity: must be a finite number > 0, got 'nan'"),
+    (["--perplexity", "0"], "argument --perplexity: must be a finite number >= 1, got '0'"),
+    (["--perplexity", "-3"], "argument --perplexity: must be a finite number >= 1, got '-3'"),
+    (["--perplexity", "nan"], "argument --perplexity: must be a finite number >= 1, got 'nan'"),
+    (["--perplexity", "0.5"], "argument --perplexity: must be a finite number >= 1, got '0.5'"),
     (["--tsne-early-iters", "-1"],
      "argument --tsne-early-iters: must be an integer >= 0, got '-1'"),
     (["--tsne-lr", "0"], "argument --tsne-lr: must be a finite number > 0, got '0'"),
@@ -573,8 +575,8 @@ def test_tsne_too_small_exits_2(tmp_path):
     (["--tsne-iters", "100", "--tsne-early-iters", "250"],
      "--tsne-iters must cover --tsne-early-iters, got 100 < 250"),
 ], ids=["no_iterations", "perplexity_zero", "perplexity_negative", "perplexity_nan",
-        "negative_early_iters", "lr_zero", "lr_negative", "early_factor_negative",
-        "early_factor_inf", "iters_below_early"])
+        "perplexity_below_1", "negative_early_iters", "lr_zero", "lr_negative",
+        "early_factor_negative", "early_factor_inf", "iters_below_early"])
 def test_tsne_bad_settings_exit_2(workspace, tmp_path, capsys, nothing_loaded, flags,
                                   message):
     data = workspace / "data"
@@ -864,7 +866,12 @@ def _replace_row(i, text):
      "row 2: non-finite coordinate"),
     (lambda lines: lines + [lines[1]], "duplicate sample id"),
     (lambda lines: lines + ["ghost,0.0,0.0"], "sample id 'ghost' is not in the manifest"),
-], ids=["short_row", "non_numeric", "nan", "inf", "duplicate_id", "unknown_id"])
+    # the first defect in file order is the one reported
+    (lambda lines: _replace_row(3, lambda row: row.rsplit(",", 1)[0])(
+        _replace_row(1, lambda row: row.split(",")[0] + ",abc,1.0")(lines)),
+     "row 0: non-numeric coordinate"),
+], ids=["short_row", "non_numeric", "nan", "inf", "duplicate_id", "unknown_id",
+        "first_defect_wins"])
 def test_eval_rejects_malformed_coords(workspace, tmp_path, capsys, edit, message):
     lines = (workspace / "out" / "tsne_coords.csv").read_text().splitlines()
     bad = tmp_path / "coords.csv"
@@ -933,23 +940,36 @@ def test_malformed_input_is_one_line(tmp_path, capsys, manifest, embeddings, mes
     assert not out.exists()
 
 
-def test_eval_rejects_coords_field_over_csv_limit(workspace, tmp_path, capsys):
-    bad = tmp_path / "coords.csv"
-    bad.write_text("sample_id,x,y\n" + "s" * 200_000 + ",1,2\n")
-    data = workspace / "data"
-    assert main(["eval", "--manifest", str(data / "manifest.csv"),
-                 "--embeddings", str(data / "embeddings.bin"),
-                 "--coords", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err == f"input error: {bad}: field larger than field limit (131072)\n"
+CSV_INPUTS = {"manifest": MANIFEST_HEADER, "coords file": COORDS_HEADER}
 
 
-def test_eval_rejects_coords_that_are_not_utf8(workspace, tmp_path, capsys):
-    bad = tmp_path / "coords.csv"
-    bad.write_bytes(b"sample_id,x,y\n\xff\xfe,1,2\n")
+@pytest.mark.parametrize("text, message", [
+    (b"", "{path}: empty {what}"),
+    (b"sample_id,label\n", "{path}: bad header ['sample_id', 'label'], expected {header}"),
+    (b"HEADER\n\xff\xfe,1,2\n", "{path}: {what} is not UTF-8 text"),
+    (b"HEADER\ns0,1\n", "{path}: row 0 has 2 fields, expected {fields}"),
+    (b"HEADER\n" + b"s" * 200_000 + b",1,2\n",
+     "{path}: field larger than field limit (131072)"),
+    (None, "cannot read {what} {path}: [Errno 21] Is a directory: '{path}'"),
+], ids=["empty", "header", "not_utf8", "field_count", "field_over_csv_limit", "directory"])
+@pytest.mark.parametrize("what", CSV_INPUTS, ids=["manifest", "coords"])
+def test_csv_input_defects_exit_2_with_one_line(workspace, tmp_path, capsys, what, text,
+                                                 message):
+    """The manifest (read by curves) and the coords file (read by eval
+    --coords) share one reader: each defect gets the same one-line message."""
+    header = CSV_INPUTS[what]
+    path = tmp_path / "input.csv"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text.replace(b"HEADER", ",".join(header).encode()))
     data = workspace / "data"
-    assert main(["eval", "--manifest", str(data / "manifest.csv"),
-                 "--embeddings", str(data / "embeddings.bin"),
-                 "--coords", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"{bad}: coords file is not UTF-8 text" in err
+    manifest, embeddings = str(data / "manifest.csv"), str(data / "embeddings.bin")
+    argv = (["curves", "--manifest", str(path), "--embeddings", embeddings]
+            if what == "manifest" else
+            ["eval", "--manifest", manifest, "--embeddings", embeddings, "--coords", str(path)])
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    expected = message.format(path=path, what=what, header=list(header), fields=len(header))
+    assert capsys.readouterr().err == f"input error: {expected}\n"
+    assert not out.exists()

@@ -122,6 +122,18 @@ def test_unreachable_target_falls_back_uniform():
     np.testing.assert_allclose(p, 0.25)
 
 
+@pytest.mark.parametrize("target", [0.5, 0.99])
+def test_target_below_one_is_unreachable_at_once(target):
+    # a perplexity 2^H is at least 1: no bisection, one warning
+    row = np.array([0.1, 0.5, 0.9, 1.4])
+    with pytest.warns(UserWarning) as record:
+        sigma, p = perplexity_calibration(row, target)
+    assert [str(w.message) for w in record] == [
+        f"perplexity {target} unreachable for row of 4 neighbors; using uniform affinities"]
+    assert sigma == np.inf
+    np.testing.assert_allclose(p, 0.25)
+
+
 # ---------------------------------------------------------------------------
 # affinities and gradient
 # ---------------------------------------------------------------------------
@@ -302,6 +314,14 @@ def test_tsne_preconditions():
     with pytest.raises(AnalysisError, match="early exaggeration"):
         tsne(ds, TsneConfig(perplexity=5, iterations=100,
                             early_exaggeration_iters=200))
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, -3.0, float("nan"), float("inf")])
+def test_tsne_rejects_perplexity_below_one(value):
+    ds = make_random_dataset(seed=1, n=40, dim=4)
+    message = f"^perplexity must be a finite number >= 1, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        tsne(ds, TsneConfig(perplexity=value, iterations=20, early_exaggeration_iters=5))
 
 
 @pytest.mark.parametrize("field, name", [
