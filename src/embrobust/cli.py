@@ -3,8 +3,21 @@
 Every subcommand is a thin wrapper over the library; numeric outputs are
 the library results unchanged. All randomness flows from --seed, so two
 runs with identical flags produce identical bytes, whether or not an
-earlier subcommand in the same process left a neighbor table to reuse
-(``_embedding_table``). Each run has a manifest of its resolved
+earlier subcommand in the same process left results to reuse. Subcommands
+run in one process (``main`` called again) hold, matched by content, never
+by path:
+
+- the last embedding-space cosine table (``_embedding_table``), keyed by
+  the vectors' sha256, dtype and shape and, under --exclude-same-group, the
+  group ids; dropped by a table for other vectors, by ``tsne`` and by
+  ``eval --coords``, each before it builds n×n arrays of its own;
+- the embedding-space regression probes (``_logreg_probe``) that ``eval``
+  and ``relation`` fit, keyed by the same vector digest, the target's
+  labels, the fold assignment, lambda and max_iter; dropped when a probe
+  is fit on other vectors. ``relation`` after ``eval`` reuses eval's bio
+  probe instead of refitting it.
+
+Each run has a manifest of its resolved
 parameters, inputs and output files: the JSON report embeds it under
 "run", SVG roots carry its id, and a run without a JSON report
 (``synth``, ``curves``) writes it to ``<subcommand>_run.json``.
@@ -29,9 +42,9 @@ from . import __version__
 from .dataset import (COORDS_HEADER, DatasetError, EmbeddingDataset, load_coords,
                       load_dataset, save_dataset)
 from .evaluation import (DEFAULT_K_GRID, DEFAULT_LAMBDA, AnalysisError,
-                         assign_folds, center_error_relation,
-                         confounder_analysis, knn_predict, logreg_cv,
-                         restrict_for_confounders)
+                         EvalResult, FoldAssignment, assign_folds,
+                         center_error_relation, confounder_analysis,
+                         knn_predict, logreg_cv, restrict_for_confounders)
 from .neighbors import NeighborTable, build_neighbor_table, frequency_curves
 from .projection import TsneConfig, trustworthiness, tsne
 from .robustness import DEFAULT_K, UndefinedIndexError, robustness_index
@@ -127,6 +140,10 @@ def _inputs(args) -> dict:
 # is alive at a time: a miss drops the held table before it builds, and
 # every other n×n builder (``tsne``, ``eval --coords``) drops it first.
 _held_table: tuple[tuple, NeighborTable] | None = None
+# The embedding-space regression probes fit on one set of vectors, by key
+# (see ``_logreg_probe``), so that ``relation`` reuses the bio probe ``eval``
+# fit. Each is a few bytes per sample; probes fit on other vectors drop them.
+_held_probes: dict[tuple, EvalResult] = {}
 
 
 def _drop_table() -> None:
@@ -134,15 +151,28 @@ def _drop_table() -> None:
     _held_table = None
 
 
-def _embedding_table(ds: EmbeddingDataset, exclude: bool) -> NeighborTable:
+def _drop_held() -> None:
+    """Forget every held table and probe, as in a fresh process."""
+    _drop_table()
+    _held_probes.clear()
+
+
+def _vectors_key(ds: EmbeddingDataset) -> tuple:
+    """The vectors' content: sha256 of their bytes, dtype and shape. A
+    subcommand computes it once and keys all it holds by it."""
+    vectors = np.ascontiguousarray(ds.vectors)
+    return hashlib.sha256(vectors).hexdigest(), vectors.dtype.str, vectors.shape
+
+
+def _embedding_table(ds: EmbeddingDataset, vectors_key: tuple,
+                     exclude: bool) -> NeighborTable:
     """The cosine table of ``ds``, the held one if it was built from the same
-    vectors (bytes, dtype and shape) and, under exclusion, the same group ids.
+    vectors (``vectors_key``) and, under exclusion, the same group ids.
 
     Paths are not part of the key: a file rewritten in place misses.
     """
     global _held_table
-    vectors = np.ascontiguousarray(ds.vectors)
-    key = (hashlib.sha256(vectors).hexdigest(), vectors.dtype.str, vectors.shape,
+    key = (vectors_key,
            hashlib.sha256(json.dumps(ds.group_ids).encode()).hexdigest() if exclude else None)
     held = _held_table  # one read: the pair, never a key and another's table
     if held is not None and held[0] == key:
@@ -152,6 +182,24 @@ def _embedding_table(ds: EmbeddingDataset, exclude: bool) -> NeighborTable:
     nt = build_neighbor_table(ds, exclude_same_group=exclude)
     _held_table = (key, nt)
     return nt
+
+
+def _logreg_probe(ds: EmbeddingDataset, vectors_key: tuple, folds: FoldAssignment,
+                  target: str, lam: float, max_iter: int) -> EvalResult:
+    """``logreg_cv(ds, folds, target, lam=lam, max_iter=max_iter)``, the held
+    result if one was fit on the same vectors (``vectors_key``), the same
+    target labels, the same fold assignment, lambda and max_iter: all the
+    probe reads. Group ids are not part of the key, as the probe ignores them.
+    """
+    labels = ds.bio_labels if target == "bio" else ds.conf_labels
+    key = (vectors_key, target, labels, folds.fold_of.tobytes(), float(lam).hex(), max_iter)
+    probe = _held_probes.get(key)
+    if probe is None:
+        probe = logreg_cv(ds, folds, target, lam=lam, max_iter=max_iter)
+        if any(held[0] != vectors_key for held in _held_probes):
+            _held_probes.clear()
+        _held_probes[key] = probe
+    return probe
 
 
 def _bio_colors(ds: EmbeddingDataset) -> dict[str, str]:
@@ -231,7 +279,8 @@ def _index_entry(name: str, manifest: str, embeddings: str, args) -> dict:
     """One model's report; its dataset is freed on return, and its n×n table
     when the next model's is built."""
     ds = load_dataset(manifest, embeddings)
-    report = robustness_index(ds, _embedding_table(ds, args.exclude_same_group), args.k)
+    report = robustness_index(
+        ds, _embedding_table(ds, _vectors_key(ds), args.exclude_same_group), args.k)
     return {"name": name, **report.to_dict(), "r_k_display": report.r_k_display}
 
 
@@ -267,7 +316,7 @@ def cmd_index(args) -> int:
 
 def cmd_curves(args) -> int:
     ds = _load(args)
-    nt = _embedding_table(ds, args.exclude_same_group)
+    nt = _embedding_table(ds, _vectors_key(ds), args.exclude_same_group)
     curves = frequency_curves(ds, nt)
     run = _make_run("curves", {"exclude_same_group": args.exclude_same_group},
                     _inputs(args))
@@ -285,11 +334,13 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _eval_block(probe_ds, nt, targets, k, lam, folds, max_iter):
+def _eval_block(probe_ds, nt, targets, k, lam, folds, logreg):
+    """The kNN and regression accuracies of each target; ``logreg(target)``
+    gives the regression probe."""
     block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
     for target in targets:
         kr = knn_predict(probe_ds, nt, folds, target, k)
-        lr = logreg_cv(probe_ds, folds, target, lam=lam, max_iter=max_iter)
+        lr = logreg(target)
         block["knn"][target] = {
             "accuracy_mean": kr.accuracy_mean, "accuracy_std": kr.accuracy_std,
             "fold_accuracy": list(kr.fold_accuracy)}
@@ -323,9 +374,12 @@ def cmd_eval(args) -> int:
         "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
 
-    probes = (targets, args.k, args.lam, folds, args.logreg_max_iter)
+    probes = (targets, args.k, args.lam, folds)
+    vectors_key = _vectors_key(ds)
     payload = {"embedding": _eval_block(
-        ds, _embedding_table(ds, args.exclude_same_group), *probes)}
+        ds, _embedding_table(ds, vectors_key, args.exclude_same_group), *probes,
+        lambda target: _logreg_probe(ds, vectors_key, folds, target, args.lam,
+                                     args.logreg_max_iter))}
     if coords is not None:
         _drop_table()
         coords_ds = EmbeddingDataset.from_arrays(
@@ -334,7 +388,9 @@ def cmd_eval(args) -> int:
         payload["tsne2d"] = _eval_block(
             coords_ds, build_neighbor_table(coords_ds, metric="euclidean",
                                             exclude_same_group=args.exclude_same_group),
-            *probes)
+            *probes,
+            lambda target: logreg_cv(coords_ds, folds, target, lam=args.lam,
+                                     max_iter=args.logreg_max_iter))
     reports: dict = {"eval.json": payload}
     if args.target == "both":  # the accuracy scatter needs both axes
         reports["accuracy_embedding.svg"] = _accuracy_scatter(
@@ -353,7 +409,7 @@ def cmd_eval(args) -> int:
 def cmd_confounders(args) -> int:
     ds = _load(args)
     restricted = restrict_for_confounders(ds)
-    nt = _embedding_table(restricted, args.exclude_same_group)
+    nt = _embedding_table(restricted, _vectors_key(restricted), args.exclude_same_group)
     seeds = tuple(range(args.seed, args.seed + args.reps))
     report = confounder_analysis(restricted, nt, seeds, n_folds=args.folds,
                                  k_grid=args.k_grid)
@@ -433,11 +489,15 @@ def cmd_tsne(args) -> int:
 
 def cmd_relation(args) -> int:
     ds = _load(args)
-    nt = _embedding_table(ds, args.exclude_same_group)
+    vectors_key = _vectors_key(ds)
+    nt = _embedding_table(ds, vectors_key, args.exclude_same_group)
     seeds = tuple(range(args.seed, args.seed + args.reps))
-    rel = center_error_relation(
-        ds, nt, seeds, k_grid=args.k_grid, lam=args.lam, n_folds=args.folds,
-        logreg_max_iter=args.logreg_max_iter)
+    # the bio probe on the first seed's folds: eval's, if it ran on the same
+    # content in this process; else fit here, before the kNN ensemble runs
+    logreg = _logreg_probe(ds, vectors_key, assign_folds(ds, args.folds, args.seed),
+                           "bio", args.lam, args.logreg_max_iter)
+    rel = center_error_relation(ds, nt, seeds, logreg, k_grid=args.k_grid,
+                                n_folds=args.folds)
     run = _make_run("relation", {
         "k_grid": list(args.k_grid), "reps": args.reps, "folds": args.folds,
         "lambda": args.lam, "seed": args.seed, "rep_seeds": list(seeds),

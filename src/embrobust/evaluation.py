@@ -619,20 +619,29 @@ def center_error_relation(
     ds: EmbeddingDataset,
     nt: NeighborTable,
     seeds: Sequence[int],
+    logreg: EvalResult,
     k_grid: Sequence[int] = DEFAULT_K_GRID,
-    lam: float = DEFAULT_LAMBDA,
     n_folds: int = 5,
-    logreg_max_iter: int = 5000,
 ) -> CenterErrorRelation:
     """Relate per-sample center-related kNN error rates to regression errors.
 
     ``nt`` is the neighbor table of ``ds``, as for ``confounder_analysis``.
     The kNN-run ensemble is the full (seed, k) product, one repetition per
-    seed. Regression errors come from the bio-target CV probe using the
-    first seed's folds. Samples are binned into 10 equal-width bins on
-    their center-related error fraction; each bin reports its regression
-    error rate.
+    seed. Regression errors are read from ``logreg``, the bio-target
+    regression probe on the first seed's folds, ``logreg_cv(ds,
+    assign_folds(ds, n_folds, seeds[0]), "bio", ...)``, which the caller
+    fits with its own lambda and iteration cap: nothing is fit here. The
+    CLI's ``relation`` passes the probe an earlier ``eval`` in the same
+    process fit, when it was fit on the same vectors, bio labels, folds,
+    lambda and iteration cap, and fits its own otherwise (see
+    ``embrobust.cli``). Raises ``ValueError`` for a probe of another target
+    or of another sample count. Samples are binned into 10 equal-width bins
+    on their center-related error fraction; each bin reports its
+    regression error rate.
     """
+    if logreg.target != "bio" or len(logreg.correct) != ds.n:
+        raise ValueError(f"need the bio probe of {ds.n} samples, got the "
+                         f"{logreg.target!r} probe of {len(logreg.correct)}")
     k_grid, ks, cols = _grid_columns(k_grid)
     rows = np.arange(ds.n)
 
@@ -645,9 +654,6 @@ def center_error_relation(
         center_err_runs += center_err[:, cols].sum(axis=1)
 
     fraction = center_err_runs / (len(seeds) * len(k_grid))
-
-    logreg = logreg_cv(ds, assign_folds(ds, n_folds, seeds[0]), "bio", lam=lam,
-                       max_iter=logreg_max_iter)
     logreg_wrong = ~logreg.correct
 
     edges = np.linspace(0.0, 1.0, 11)

@@ -29,9 +29,10 @@ SPARSE_CELLS = np.array([
 
 @pytest.fixture(autouse=True)
 def _cold_cli():
-    """Each test starts with no neighbor table held from an earlier test's
-    CLI calls; the calls within a test share one as a process would."""
-    cli._drop_table()
+    """Each test starts with no neighbor table or regression probe held from
+    an earlier test's CLI calls; the calls within a test share them as a
+    process would."""
+    cli._drop_held()
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from embrobust import (EmbeddingDataset, SynthSpec, assign_folds,
                        build_neighbor_table, confounder_analysis,
                        frequency_curves, generate, knn_predict, load_dataset,
                        logreg_cv, robustness_index, save_dataset)
-from embrobust import cli, neighbors
+from embrobust import cli, evaluation, neighbors
 from embrobust.cli import main
 from embrobust.dataset import COORDS_HEADER, MANIFEST_HEADER
 
@@ -283,6 +283,144 @@ def test_rewritten_inputs_are_not_served_a_held_table(tmp_path):
             assert report.read_bytes() == reports[-1]
         assert reports[0] != reports[1]
         assert (reports[1] != reports[2]) == bool(grouping)
+
+
+def count_fits(monkeypatch) -> list:
+    """One entry per ``evaluation.logreg_fit`` call from now on."""
+    fits = []
+    fit = evaluation.logreg_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "logreg_fit", counted)
+    return fits
+
+
+def probe_inputs(tmp_path) -> tuple[EmbeddingDataset, list[str]]:
+    """A dataset in groups of 3, saved with a coords file beside it, and its
+    --manifest/--embeddings flags."""
+    ds = generate(SynthSpec(n_bio=3, n_conf=3, per_cell=10, dim=16, noise_sigma=0.6,
+                            conf_strength=1.2, seed=4))
+    ds = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
+                                      [f"g{i // 3}" for i in range(ds.n)])
+    save_dataset(ds, tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
+    xy = np.random.default_rng(0).normal(size=(2, ds.n))
+    with open(tmp_path / "coords.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([COORDS_HEADER, *zip(ds.ids, *xy.tolist())])
+    return ds, ["--manifest", str(tmp_path / "manifest.csv"),
+                "--embeddings", str(tmp_path / "embeddings.bin")]
+
+
+def relation_after_eval(tmp_path, monkeypatch, eval_flags, relation_flags, edit=None):
+    """Run eval, then ``edit(ds)`` (if given) on the saved inputs, then
+    relation twice, the second time with nothing held: each relation's
+    regression fit count, and whether the two wrote the same bytes."""
+    ds, data = probe_inputs(tmp_path)
+    eval_argv = ["eval", *data, "--logreg-max-iter", "200",
+                 "--out-dir", str(tmp_path / "eval"), *eval_flags]
+    assert main([a.replace("COORDS", str(tmp_path / "coords.csv")) for a in eval_argv]) == 0
+    if edit is not None:
+        save_dataset(edit(ds), tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
+    out = tmp_path / "out"
+    relation = ["relation", *data, "--k-grid", "1,2,4", "--reps", "2",
+                "--logreg-max-iter", "200", "--out-dir", str(out), *relation_flags]
+    fits = count_fits(monkeypatch)
+    counts, snapshots = [], []
+    for _ in range(2):
+        before = len(fits)
+        assert main(relation) == 0
+        counts.append(len(fits) - before)
+        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        cli._drop_held()
+    assert len(snapshots[0]) == 3
+    return counts, snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("eval_flags, relation_flags", [
+    ([], []),
+    (["--coords", "COORDS"], []),
+    (["--exclude-same-group"], []),
+    ([], ["--exclude-same-group"]),
+    (["--seed", "3", "--folds", "4", "--lambda", "0.01"],
+     ["--seed", "3", "--folds", "4", "--lambda", "0.01"]),
+], ids=["plain", "coords", "eval_grouped", "relation_grouped", "same_other_settings"])
+def test_relation_after_eval_fits_no_regression(tmp_path, monkeypatch, eval_flags,
+                                                relation_flags):
+    """relation reuses the bio probe eval fit on the same content, with or
+    without --coords or --exclude-same-group on either side, and writes the
+    bytes of a relation that fit its own."""
+    fits, same_bytes = relation_after_eval(tmp_path, monkeypatch, eval_flags, relation_flags)
+    assert fits == [0, 4 if "--folds" in relation_flags else 5]
+    assert same_bytes
+
+
+def other_vectors(ds: EmbeddingDataset) -> EmbeddingDataset:
+    noise = np.random.default_rng(1).normal(scale=0.3, size=ds.vectors.shape)
+    return EmbeddingDataset.from_arrays(ds.ids, ds.vectors + noise, ds.bio_labels,
+                                        ds.conf_labels, ds.group_ids)
+
+
+def other_bio_labels(ds: EmbeddingDataset) -> EmbeddingDataset:
+    """Every bio class renamed in sorted order: the codes, so the folds, stay."""
+    renamed = EmbeddingDataset.from_arrays(ds.ids, ds.vectors,
+                                           [f"x{b}" for b in ds.bio_labels],
+                                           ds.conf_labels, ds.group_ids)
+    assert (assign_folds(renamed, 5, 0).fold_of == assign_folds(ds, 5, 0).fold_of).all()
+    return renamed
+
+
+@pytest.mark.parametrize("eval_flags, relation_flags, edit", [
+    ([], ["--seed", "1"], None),
+    ([], ["--folds", "4"], None),
+    ([], ["--lambda", "0.01"], None),
+    ([], ["--logreg-max-iter", "150"], None),
+    ([], [], other_vectors),
+    ([], [], other_bio_labels),
+    (["--target", "conf"], [], None),
+], ids=["seed", "folds", "lambda", "max_iter", "rewritten_embeddings", "other_bio_labels",
+        "eval_conf_only"])
+def test_relation_refits_a_probe_eval_did_not_fit(tmp_path, monkeypatch, eval_flags,
+                                                  relation_flags, edit):
+    """relation after an eval whose bio probe differs in anything the probe
+    reads fits its own, one regression per fold, and writes the bytes of a
+    relation run with nothing held."""
+    fits, same_bytes = relation_after_eval(tmp_path, monkeypatch, eval_flags, relation_flags,
+                                           edit)
+    n_folds = 4 if "--folds" in relation_flags else 5
+    assert fits == [n_folds, n_folds]
+    assert same_bytes
+
+
+def test_held_probes_are_those_of_the_last_vectors(tmp_path):
+    """A probe fit on other vectors drops the ones held, so a process holds
+    the probes of one set of vectors at a time."""
+    ds, data = probe_inputs(tmp_path)
+    flags = [*data, "--logreg-max-iter", "200", "--out-dir", str(tmp_path / "out")]
+    assert main(["eval", *flags]) == 0
+    assert [key[1] for key in cli._held_probes] == ["bio", "conf"]
+    save_dataset(other_vectors(ds), tmp_path / "manifest.csv", tmp_path / "embeddings.bin")
+    assert main(["relation", *flags, "--k-grid", "1,2", "--reps", "1"]) == 0
+    assert [key[1] for key in cli._held_probes] == ["bio"]
+
+
+def test_relation_k_grid_beyond_the_folds_exits_3(tmp_path, capsys):
+    """With or without eval's probe held, a k the training folds cannot hold
+    exits 3 with one message and writes no out-dir."""
+    _, data = probe_inputs(tmp_path)
+    relation = ["relation", *data, "--k-grid", "1,80", "--reps", "2",
+                "--logreg-max-iter", "200", "--out-dir", str(tmp_path / "out")]
+    assert main(relation) == 3  # no probe held: fit first, then refused
+    cold = capsys.readouterr().err
+    assert cold.startswith("analysis precondition failed: k=80 exceeds training-fold size (")
+    assert cold.count("\n") == 1
+    assert main(["eval", *data, "--logreg-max-iter", "200",
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    assert main(relation) == 3
+    assert capsys.readouterr().err == cold
+    assert not (tmp_path / "out").exists()
 
 
 def test_shared_table_raises_no_subcommands_traced_peak(tmp_path, monkeypatch):

@@ -419,7 +419,8 @@ def test_training_shortfall_raises_before_ranking(monkeypatch):
     monkeypatch.setattr(neighbors, "_rank", no_ranking)
     runs = [lambda: knn_predict(ds, nt, assign_folds(ds, 5, 3), "bio", 55),
             lambda: confounder_analysis(ds, nt, (7, 3), k_grid=(1, 55)),
-            lambda: center_error_relation(ds, nt, (7, 3), k_grid=(1, 55))]
+            lambda: center_error_relation(ds, nt, (7, 3), bio_probe(ds, 7, max_iter=200),
+                                          k_grid=(1, 55))]
     for run in runs:
         with pytest.raises(AnalysisError, match="^k=55 exceeds training-fold size"):
             run()
@@ -802,7 +803,8 @@ def test_ensemble_needs_a_seed():
     with pytest.raises(AnalysisError, match="at least one seed"):
         confounder_analysis(ds, nt, seeds=(), k_grid=(1, 2))
     with pytest.raises(AnalysisError, match="at least one seed"):
-        center_error_relation(ds, nt, seeds=(), k_grid=(1, 2))
+        center_error_relation(ds, nt, seeds=(), logreg=bio_probe(ds, 0, max_iter=200),
+                              k_grid=(1, 2))
 
 
 def test_ensemble_votes_confounders_only_when_asked():
@@ -819,11 +821,39 @@ def test_ensemble_votes_confounders_only_when_asked():
 # center-error relation
 # ---------------------------------------------------------------------------
 
+def bio_probe(ds, seed, n_folds=5, lam=1e-3, max_iter=5000):
+    """The regression probe ``center_error_relation`` reads: bio target, on
+    the folds of the first repetition seed."""
+    return logreg_cv(ds, assign_folds(ds, n_folds, seed), "bio", lam=lam, max_iter=max_iter)
+
+
+def test_relation_fits_nothing_and_rejects_other_probes(monkeypatch):
+    ds = make_synth(seed=2, per_cell=8)
+    nt = build_neighbor_table(ds)
+    probe = bio_probe(ds, 0, max_iter=200)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a regression was fit")
+
+    monkeypatch.setattr(evaluation, "logreg_fit", no_fit)
+    rel = center_error_relation(ds, nt, (0, 1), probe, k_grid=(1, 2))
+    assert rel.logreg_wrong.tolist() == (~probe.correct).tolist()
+    monkeypatch.undo()
+    conf = logreg_cv(ds, assign_folds(ds, 5, 0), "conf", max_iter=200)
+    with pytest.raises(ValueError, match="^need the bio probe of 72 samples, got the "
+                                         "'conf' probe of 72$"):
+        center_error_relation(ds, nt, (0,), conf, k_grid=(1,))
+    short = ds.subset(np.arange(ds.n - 1))
+    with pytest.raises(ValueError, match="^need the bio probe of 72 samples, got the "
+                                         "'bio' probe of 71$"):
+        center_error_relation(ds, nt, (0,), bio_probe(short, 0, max_iter=200), k_grid=(1,))
+
+
 def test_relation_all_zero_on_perfect_data():
     ds = make_synth(seed=7, n_bio=3, n_conf=3, per_cell=12, dim=16,
                     bio_strength=1.0, conf_strength=0.0, noise_sigma=0.02)
     rel = center_error_relation(ds, build_neighbor_table(ds), seeds=(0, 1),
-                                k_grid=(1, 3), lam=1e-3, logreg_max_iter=300)
+                                logreg=bio_probe(ds, 0, max_iter=300), k_grid=(1, 3))
     assert (rel.fraction_center_error == 0.0).all()
     assert not rel.logreg_wrong.any()
     assert rel.bin_counts[0] == ds.n
@@ -852,7 +882,7 @@ def test_relation_planted_confounded_subpopulation():
         [f"s{i}" for i in range(96)], np.vstack(blocks), bio, conf)
     planted = np.arange(90, 96)
     rel = center_error_relation(ds, build_neighbor_table(ds), seeds=(0, 1),
-                                k_grid=(5, 7), lam=1e-3, logreg_max_iter=500)
+                                logreg=bio_probe(ds, 0, max_iter=500), k_grid=(5, 7))
     # every run misclassifies every planted sample with a same-center majority
     assert (rel.fraction_center_error[planted] == 1.0).all()
     assert rel.bin_counts[9] >= len(planted)
@@ -880,7 +910,8 @@ def test_relation_majority_is_strict():
     ds = EmbeddingDataset.from_arrays(
         [f"s{i}" for i in range(6)], vectors, bio, conf)
     rel = center_error_relation(ds, build_neighbor_table(ds), seeds=(0,),
-                                k_grid=(2,), lam=1e-3, n_folds=2, logreg_max_iter=100)
+                                logreg=bio_probe(ds, 0, n_folds=2, max_iter=100),
+                                k_grid=(2,), n_folds=2)
     # sample 0's two training neighbors alternate labels: one wrong-label
     # same-conf neighbor out of two is not > k/2
     assert rel.fraction_center_error.max() <= 1.0
@@ -991,9 +1022,10 @@ def test_center_error_relation_matches_per_query_oracle(monkeypatch):
         expected = oracle_center_error_fraction(ds, 4, ENSEMBLE_GRID, (3, 4))
         assert 0 < (expected > 0).sum() < ds.n
         bins = np.minimum((expected * 10).astype(int), 9)
+        probe = bio_probe(ds, 3, n_folds=4, lam=1e-2, max_iter=200)
         for nt in tables:
-            rel = center_error_relation(ds, nt, seeds=(3, 4), k_grid=ENSEMBLE_GRID,
-                                        lam=1e-2, n_folds=4, logreg_max_iter=200)
+            rel = center_error_relation(ds, nt, seeds=(3, 4), logreg=probe,
+                                        k_grid=ENSEMBLE_GRID, n_folds=4)
             assert rel.fraction_center_error.tobytes() == expected.tobytes()
             rates = [rel.logreg_wrong[bins == b].mean() if (bins == b).any() else np.nan
                      for b in range(10)]
@@ -1029,8 +1061,9 @@ def test_each_analysis_ranks_its_rows_once(monkeypatch, grouped, analysis):
                 knn_table_depth(16, 4)),
         "confounders": (lambda: confounder_analysis(ds, nt, seeds, n_folds=4, k_grid=grid),
                         knn_table_depth(max(grid), 4)),
-        "relation": (lambda: center_error_relation(ds, nt, seeds, k_grid=grid, lam=1e-2,
-                                                   n_folds=4, logreg_max_iter=200),
+        "relation": (lambda: center_error_relation(
+            ds, nt, seeds, bio_probe(ds, 3, n_folds=4, lam=1e-2, max_iter=200),
+            k_grid=grid, n_folds=4),
                      knn_table_depth(max(grid), 4)),
     }
     run, depth = runs[analysis]
@@ -1081,8 +1114,9 @@ def test_deep_reranks_inside_ensemble_tasks_equal_serial(monkeypatch):
 
     def analyses():
         conf = confounder_analysis(ds, nt, (3, 4), n_folds=4, k_grid=ENSEMBLE_GRID)
-        rel = center_error_relation(ds, nt, (3, 4), k_grid=ENSEMBLE_GRID, lam=1e-2,
-                                    n_folds=4, logreg_max_iter=200)
+        rel = center_error_relation(ds, nt, (3, 4),
+                                    bio_probe(ds, 3, n_folds=4, lam=1e-2, max_iter=200),
+                                    k_grid=ENSEMBLE_GRID, n_folds=4)
         knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 5)
         return (conf.frac_same_center.tobytes(), conf.acc_bio.tobytes(),
                 conf.acc_conf.tobytes(), rel.fraction_center_error.tobytes(),
