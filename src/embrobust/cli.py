@@ -479,6 +479,7 @@ def cmd_tsne(args) -> int:
         "tsne_conf.svg": coloring(ds.conf_labels, _conf_colors(ds), "confounder class"),
         "tsne.json": {
             "final_kl": float(result.kl_trace[-1]),
+            "learning_rate": result.learning_rate,
             "trustworthiness": {"k": t_k,
                                 "value": trustworthiness(ds, result.coords, t_k)},
         },
@@ -606,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsne-iters", type=count, default=1000)
     p.add_argument("--tsne-early-iters", type=_at_least(int, 0), default=250)
     p.add_argument("--tsne-early-factor", type=positive, default=12.0)
-    p.add_argument("--tsne-lr", type=positive, default=200.0)
+    p.add_argument("--tsne-lr", type=positive,
+                   help="learning rate (default: n / --tsne-early-factor)")
     p.set_defaults(func=cmd_tsne)
 
     p = sub.add_parser("relation", parents=[common, one_ds, grouping],

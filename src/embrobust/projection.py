@@ -41,7 +41,8 @@ class TsneConfig:
     iterations: int = 1000
     early_exaggeration_factor: float = 12.0
     early_exaggeration_iters: int = 250
-    learning_rate: float = 200.0
+    # None: n / early_exaggeration_factor (Belkina et al. 2019)
+    learning_rate: float | None = None
     momentum_start: float = 0.5
     momentum_final: float = 0.8
     momentum_switch_iter: int = 250
@@ -55,7 +56,8 @@ class TsneConfig:
 class ProjectionResult:
     coords: np.ndarray    # (n, 2)
     kl_trace: np.ndarray  # KL divergence (true affinities) per iteration
-    config: TsneConfig
+    config: TsneConfig    # as given
+    learning_rate: float  # the one that took effect
 
 
 # a row's perplexity is accepted within this of the target, after at most
@@ -218,22 +220,27 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
     return _kl_step(strips, 1.0, _entropy(P), Y, [np.empty_like(s) for s in strips])
 
 
-def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> ProjectionResult:
+def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
+         init: np.ndarray | None = None) -> ProjectionResult:
     """Project to 2D by gradient descent on the Kullback-Leibler objective.
 
     Deterministic given the seed: initial coordinates are a small isotropic
-    Gaussian cloud from a seeded generator. The kl_trace always records the
-    divergence against the true (non-exaggerated) affinities. Raises
-    ``ValueError`` for a perplexity that is not a finite number >= 1 (no
-    distribution has a perplexity 2^H below 1), a learning rate or
-    early-exaggeration factor that is not a finite number > 0, fewer than
-    one iteration or a negative early-exaggeration length.
+    Gaussian cloud from a seeded generator, unless ``init`` gives them as an
+    (n, 2) array. The learning rate is ``cfg.learning_rate``, or n divided by
+    the early-exaggeration factor when that is None (Belkina et al. 2019):
+    the gradient of each point shrinks as 1/n, so a fixed rate takes ever
+    smaller steps as n grows. The kl_trace always records the divergence
+    against the true (non-exaggerated) affinities. Raises ``ValueError``
+    for a perplexity that is not a finite number >= 1 (no distribution has
+    a perplexity 2^H below 1), a learning rate or early-exaggeration factor
+    that is not a finite number > 0, fewer than one iteration, a negative
+    early-exaggeration length or an ``init`` that is not n x 2 and finite.
     """
     if not (np.isfinite(cfg.perplexity) and cfg.perplexity >= 1):
         raise ValueError(f"perplexity must be a finite number >= 1, got {cfg.perplexity}")
     for name, value in (("learning rate", cfg.learning_rate),
                         ("early exaggeration factor", cfg.early_exaggeration_factor)):
-        if not (np.isfinite(value) and value > 0):
+        if value is not None and not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value}")
     if cfg.iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {cfg.iterations}")
@@ -249,11 +256,16 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
             f"perplexity {cfg.perplexity} too large for n={n}; needs < (n-1)/3")
     if cfg.iterations < cfg.early_exaggeration_iters:
         raise AnalysisError("iterations must cover the early exaggeration phase")
+    if init is not None:
+        init = np.asarray(init, dtype=np.float64)
+        if init.shape != (n, 2) or not np.isfinite(init).all():
+            raise ValueError(f"init must be a finite ({n}, 2) array")
+    lr = (n / cfg.early_exaggeration_factor if cfg.learning_rate is None
+          else cfg.learning_rate)
 
     P = joint_affinities(pairwise_distances(vectors, metric="cosine") ** 2, cfg.perplexity)
 
-    rng = np.random.default_rng(cfg.seed)
-    Y = 1e-4 * rng.standard_normal((n, 2))
+    Y = 1e-4 * np.random.default_rng(cfg.seed).standard_normal((n, 2)) if init is None else init
     velocity = np.zeros_like(Y)
     kl_trace = np.empty(cfg.iterations)
     entropy = _entropy(P)
@@ -268,13 +280,13 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig()) -> P
         kl_trace[it] = kl_true
         momentum = (cfg.momentum_start if it < cfg.momentum_switch_iter
                     else cfg.momentum_final)
-        velocity = momentum * velocity - cfg.learning_rate * grad
+        velocity = momentum * velocity - lr * grad
         Y = Y + velocity
         Y -= Y.mean(axis=0)
 
     Y.flags.writeable = False
     kl_trace.flags.writeable = False
-    return ProjectionResult(coords=Y, kl_trace=kl_trace, config=cfg)
+    return ProjectionResult(coords=Y, kl_trace=kl_trace, config=cfg, learning_rate=lr)
 
 
 def trustworthiness(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ def reference_tsne(X, cfg):
     covers every row."""
     n = X.shape[0]
     P = joint_affinities(pairwise_distances(X, "cosine") ** 2, cfg.perplexity)
+    lr = n / cfg.early_exaggeration_factor if cfg.learning_rate is None else cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     Y = 1e-4 * rng.standard_normal((n, 2))
     velocity = np.zeros_like(Y)
@@ -68,7 +70,7 @@ def reference_tsne(X, cfg):
         kl_trace.append(kl)
         momentum = (cfg.momentum_start if it < cfg.momentum_switch_iter
                     else cfg.momentum_final)
-        velocity = momentum * velocity - cfg.learning_rate * grad
+        velocity = momentum * velocity - lr * grad
         Y = Y + velocity
         Y -= Y.mean(axis=0)
     return Y, np.array(kl_trace)
@@ -295,6 +297,27 @@ def test_tsne_matches_reference_loop_bit_for_bit(cluster_projection):
     coords, kl = reference_tsne(X, cfg)
     assert result.coords.tobytes() == coords.tobytes()
     np.testing.assert_allclose(result.kl_trace, kl, rtol=1e-12, atol=0)
+
+
+def test_learning_rate_defaults_to_n_over_exaggeration():
+    X = make_random_dataset(seed=1, n=40, dim=4).vectors
+    cfg = TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5,
+                     early_exaggeration_factor=8.0)
+    auto = tsne(X, cfg)
+    assert cfg.learning_rate is None and auto.learning_rate == 5.0
+    given = tsne(X, replace(cfg, learning_rate=5.0))
+    assert given.coords.tobytes() == auto.coords.tobytes()
+    assert tsne(X, replace(cfg, learning_rate=7.0)).learning_rate == 7.0
+
+
+def test_tsne_starts_from_init():
+    X = make_random_dataset(seed=1, n=40, dim=4).vectors
+    cfg = TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5, seed=3)
+    seeded = 1e-4 * np.random.default_rng(3).standard_normal((40, 2))
+    assert tsne(X, cfg, init=seeded).coords.tobytes() == tsne(X, cfg).coords.tobytes()
+    for bad in (seeded[:-1], seeded[:, :1], np.where(seeded > 0, np.nan, seeded)):
+        with pytest.raises(ValueError, match=r"^init must be a finite \(40, 2\) array$"):
+            tsne(X, cfg, init=bad)
 
 
 def test_config_echoed(cluster_projection):
