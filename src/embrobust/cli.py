@@ -452,7 +452,7 @@ def cmd_tsne(args) -> int:
     if args.tsne_iters < args.tsne_early_iters:
         raise UsageError(f"--tsne-iters must cover --tsne-early-iters, got "
                          f"{args.tsne_iters} < {args.tsne_early_iters}")
-    _drop_table()  # before anything else: the t-SNE holds n×n arrays of its own
+    _drop_table()  # before anything else: the t-SNE builds an n×n array of its own
     ds = _load(args)
     if ds.n < 10:
         raise UsageError(f"t-SNE needs at least 10 samples, got {ds.n}")
@@ -480,6 +480,8 @@ def cmd_tsne(args) -> int:
         "tsne.json": {
             "final_kl": float(result.kl_trace[-1]),
             "learning_rate": result.learning_rate,
+            "affinities": {"neighbors": result.neighbors, "pairs": result.pairs,
+                           "uniform_rows": result.uniform_rows},
             "trustworthiness": {"k": t_k,
                                 "value": trustworthiness(ds, result.coords, t_k)},
         },

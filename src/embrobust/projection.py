@@ -1,27 +1,31 @@
-"""Exact 2D t-SNE with perplexity calibration, plus projection diagnostics.
+"""2D t-SNE on kNN-sparse affinities with an exact repulsion, plus
+projection diagnostics.
 
 The projection is unsupervised: affinities come only from pairwise
 distances in the embedding space (squared cosine distances, consistent with
-the toolkit-wide metric). Exact O(n^2) gradients keep the implementation
-small and make the finite-difference gradient check meaningful.
+the toolkit-wide metric). As in Barnes-Hut SNE (van der Maaten 2014), each
+row is calibrated on its k = floor(3 * perplexity) nearest others, ranked
+by the neighbor module's exact kernel, and P is the symmetrization of
+those conditional affinities over the union of the kNN graphs: a list of
+pairs i < j (104 852 on criterion 9's n = 2000 set, at perplexity 30).
+``tsne`` squares its cosine matrix in place and frees it once P is built,
+so a run holds one n x n array, before the loop and never in it.
 
-Each gradient iteration works on the upper strips ``P[rows, rows.start:]``
-of the row blocks of ``neighbors._row_blocks``, since d^2, the Student-t
-kernel K = 1/(1 + d^2), P and the gradient's weights are all symmetric:
-each pair's kernel is computed once. ``tsne`` packs the strips of P into
-contiguous arrays once per run and frees the dense P; the strips of K share
-that layout. A first sweep writes each strip of K, a second builds the
-gradient from it and adds each strip's part right of its diagonal square to
-the mirrored rows as well, in two strip temporaries of about 1 MB together.
-The loop holds P and K in strips, about 8n^2 bytes (32.5 MB at n = 2000),
-and allocates no n x n array. Before it, a run holds at most two n x n
-arrays at a time: ``joint_affinities`` symmetrizes P in place beside the
-squared distances, and ``_entropy`` forms P log P in place in a copy of P's
-positive entries. The divergence is sum(P log P) + sum(P log(1 + d^2)) +
-log Z with Z = sum(K). While one block covers every row (n <= 256) the one
-strip is the whole matrix and a step rounds exactly as the dense formulas
-do; above that, every block product is small enough that OpenBLAS runs it
-on one thread, so the trajectory does not depend on the BLAS thread count.
+Each gradient step is one sweep over the upper strips ``rows x rows.start:``
+of the row blocks of ``neighbors._row_blocks``, in one reused buffer of
+about 0.5 MB. A (b x 4) @ (4 x w) product gives a strip's 1 + d^2, and its
+reciprocal the Student-t kernel K, computed once per pair; K^2 times
+[Y, 1] gives the repulsion of the strip's rows and, right of its diagonal
+square, of the mirrored rows. The attraction and sum(P log(1 + d^2)) run
+over P's pairs only. The divergence is sum(P log P) + sum(P log(1 + d^2))
++ log Z with Z = sum(K). Every strip product is small enough that OpenBLAS
+runs it on one thread, and every sum over pairs is an ``np.sum``,
+``np.add.reduceat`` or ``np.bincount``, never a BLAS dot, so the trajectory
+does not depend on the BLAS thread count.
+
+The learning rate defaults to n / early-exaggeration factor (Belkina et
+al. 2019): each point's gradient shrinks as 1/n, and a fixed rate leaves
+the result to the draw of the start.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ class ProjectionResult:
     kl_trace: np.ndarray  # KL divergence (true affinities) per iteration
     config: TsneConfig    # as given
     learning_rate: float  # the one that took effect
+    neighbors: int        # k: the nearest others each row's affinities are calibrated on
+    pairs: int            # pairs i < j with P_ij > 0
+    uniform_rows: int     # rows whose calibration fell back to uniform affinities
 
 
 # a row's perplexity is accepted within this of the target, after at most
@@ -73,11 +80,12 @@ def perplexity_calibration(
     """Find the Gaussian bandwidth whose conditional distribution has the
     requested perplexity.
 
-    ``sq_dists_row`` holds squared distances to all other samples (self
-    excluded). Returns (sigma, p_row) with p_row summing to 1, at the first
-    bisection step whose perplexity is within ``_PERPLEXITY_TOL`` of the
-    target. When the target is unreachable (degenerate rows, a target below
-    1 or one >= the row length) the row falls back to uniform with a warning.
+    ``sq_dists_row`` holds squared distances to the other samples the row
+    is calibrated on (``joint_affinities`` gives its k nearest). Returns
+    (sigma, p_row) with p_row summing to 1, at the first bisection step
+    whose perplexity is within ``_PERPLEXITY_TOL`` of the target. When
+    the target is unreachable (degenerate rows, a target below 1 or one >=
+    the row length) the row falls back to uniform with a warning.
     """
     d = np.asarray(sq_dists_row, dtype=np.float64)
     m = d.size
@@ -115,109 +123,149 @@ def perplexity_calibration(
     return float("inf"), uniform
 
 
-def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized affinity matrix P from squared distances: non-negative,
-    zero diagonal, sums to 1.
+@dataclass(frozen=True, eq=False)
+class Affinities:
+    """The symmetric joint affinities P, over the union of the rows' kNN graphs.
 
-    The conditional affinities are symmetrized in place, over the upper
-    strips of the row blocks: P_ij = P_ji = (c_ij + c_ji) / (2n) is computed
-    once per pair, in a strip temporary of about 1 MB, so the calibration
-    holds one n x n array beside ``sq_dists``.
+    ``p[e]`` is P_ij = P_ji for the pair i = ``i[e]`` < j = ``j[e]``. The
+    pairs are in (i, j) order, every p is > 0, and P sums to 1 over both
+    directions. ``starts`` holds the first pair of each run of equal i.
+    ``sigma[r]`` is row r's Gaussian bandwidth, inf where its calibration
+    fell back to uniform affinities.
+    """
+
+    i: np.ndarray       # (m,) intp
+    j: np.ndarray       # (m,) intp
+    p: np.ndarray       # (m,) float64
+    starts: np.ndarray  # (r,) intp
+    neighbors: int      # k: the nearest others each row is calibrated on
+    sigma: np.ndarray   # (n,) float64
+
+
+def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> Affinities:
+    """Symmetrized affinities from an n x n matrix of squared distances.
+
+    Each row's k = floor(3 * perplexity) nearest others (at most n - 1;
+    ties to the lower index, self excluded) are ranked with the neighbor
+    module's exact kernel, and the row is calibrated on their squared
+    distances with one ``perplexity_calibration`` call. Then
+    P_ij = P_ji = (c_ij + c_ji) / (2n) over every pair where one of the two
+    rows holds the other, c being the conditional affinities (0 off a
+    row's neighbors), as in Barnes-Hut SNE (van der Maaten 2014).
     """
     n = sq_dists.shape[0]
-    cond = np.zeros((n, n))
-    for i, row in enumerate(sq_dists):
-        _, p_row = perplexity_calibration(np.concatenate((row[:i], row[i + 1:])), perplexity)
-        cond[i, :i] = p_row[:i]
-        cond[i, i + 1:] = p_row[i:]
-    for rows in _row_blocks(n, 2 * n):
-        cols = slice(rows.start, n)
-        strip = cond[rows, cols] + cond[cols, rows].T
-        strip /= 2.0 * n
-        cond[rows, cols] = strip
-        cond[cols, rows] = strip.T
-    return cond
+    k = min(int(3 * perplexity), n - 1)
+    # each row's squared distances to its neighbors, then its affinities
+    nbrs, cond = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    # ranked a block at a time in this thread, and each n x k array freed
+    # once used, so the call holds about 3.3 MiB beside sq_dists at n = 800:
+    # ranked on the pool, and with every n x k temporary held, it took 5.5,
+    # the threads' malloc arenas kept their tasks' temporaries, and
+    # full_pipeline's peak RSS rose by 0.4 MiB, to save 2 ms
+    for rows in _row_blocks(n, n):
+        ranked = _rank_rows(sq_dists[rows], k + 1)
+        # self is among a row's first k + 1 unless more than k lower-index
+        # others tie it at its distance; then the first k are all others
+        own = ranked == np.arange(rows.start, rows.stop)[:, None]
+        own[~own.any(axis=1), k] = True
+        nbrs[rows] = ranked[~own].reshape(-1, k)
+        cond[rows] = np.take_along_axis(sq_dists[rows], nbrs[rows], axis=1)
+    sigma = np.empty(n)
+    for r in range(n):
+        sigma[r], cond[r] = perplexity_calibration(cond[r], perplexity)
+    # each pair once, keyed i * n + j with i < j, summing its one or two
+    # directed entries
+    row = np.arange(n)[:, None]
+    key = np.minimum(row, nbrs)
+    key *= n
+    key += np.maximum(row, nbrs)
+    del nbrs
+    order = np.argsort(key.ravel(), kind="stable")
+    key = key.ravel()[order]
+    cond = cond.ravel()[order]
+    del order
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    p = np.add.reduceat(cond, first)
+    p /= 2.0 * n
+    keep = p > 0
+    i, j = np.divmod(key[first][keep], n)
+    p = p[keep]
+    starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+    return Affinities(i, j, p, starts, k, sigma)
 
 
-def _upper_strips(P: np.ndarray) -> list[np.ndarray]:
-    """Copies of the upper strips ``P[rows, rows.start:]`` of the step's row
-    blocks, each contiguous and none a view of P: the layout ``_kl_step``
-    reads."""
-    n = P.shape[0]
-    return [P[rows, rows.start:].copy() for rows in _row_blocks(n, 2 * n)]
+def _kl_step(P: Affinities, factor: float, entropy: float,
+             Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """KL(P || Q) and the gradient of KL(factor * P || Q) at Y, in one sweep
+    over the upper strips of the row blocks.
 
-
-def _kl_step(P: list[np.ndarray], factor: float, entropy: float, Y: np.ndarray,
-             K: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    """KL(P || Q) and the gradient of KL(factor * P || Q) at Y, over the
-    upper strips of the row blocks.
-
-    ``P`` is ``_upper_strips`` of the symmetric affinities and ``entropy``
-    is sum(P log P) over P > 0. ``K`` holds a caller-owned float64 array of
-    each strip's shape, overwritten with the kernel 1/(1+d^2) (zero
-    diagonal); Q = K / Z. A strip starts at its block's first row, so its
-    first b columns are the block's diagonal square and the rest mirror the
-    rows below it. The first sweep writes each strip of K and adds its sum
-    and its sum of P log(1 + d^2) to Z and the KL, the square once and the
-    rest twice, every log finite as 1 + d^2 >= 1. The second builds
-    M = (factor * P - K / Z) * K per strip and adds its row sums and M @ Y
-    to the strip's rows, and its column sums right of the square and their
-    products with the strip's rows of Y to the mirrored rows. In one strip
-    each element rounds as ``num = 1 / (1 + max(d^2, 0))``,
-    ``M = (factor * P - num / sum(num)) * num`` and ``M @ Y`` do.
+    ``entropy`` is sum(P log P) over both directions. Q = K / Z with the
+    kernel K = 1/(1 + d^2) (zero diagonal) and Z = sum(K). A strip
+    ``rows x rows.start:`` starts at its block's first row, so its first b
+    columns are the block's diagonal square and the rest mirror the rows
+    below it. One (b x 4) @ (4 x w) product of [y, |y|^2 + 1, 1] and
+    [-2y, 1, |y|^2] gives its 1 + d^2, clamped at 1 and inverted in place
+    to K, which adds its part of Z, the square once and the rest twice.
+    Squared in place, K^2 @ [Y, 1] gives the strip's rows their repulsion
+    sums and K^2[:, b:].T @ [Y[rows], 1] the mirrored rows theirs. The
+    attraction and sum(P log(1 + d^2)) run over P's pairs only, with
+    gathers, ``np.sum`` and ``np.bincount``: no reduction goes through BLAS.
+    The gradient is 4 (factor * F_attr - F_rep / Z), with
+    F_attr,i = sum_j P_ij K_ij (y_i - y_j) and F_rep,i = sum_j K_ij^2 (y_i - y_j).
     """
     n = Y.shape[0]
-    work, M = np.empty(P[0].size), np.empty(P[0].size)
-    strips = []  # each strip's P, K, rows, columns and two work views of its shape
-    for p, k in zip(P, K):
-        (b, w), start = p.shape, n - p.shape[1]
-        strips.append((p, k, slice(start, start + b), slice(start, n),
-                       work[:p.size].reshape(b, w), M[:p.size].reshape(b, w)))
     sq = (Y * Y).sum(axis=1)
-    total = cross = 0.0
-    for p, k, rows, cols, t, g in strips:
-        b = len(p)
-        t[...] = sq[cols]
-        t += sq[rows, None]  # sq_i + sq_j
-        np.matmul(Y[rows], Y[cols].T, out=g)
-        g *= 2.0
-        t -= g
-        np.clip(t, 0.0, None, out=t)
-        t += 1.0
-        np.reciprocal(t, out=k)
+    ones = np.ones(n)
+    left = np.column_stack((Y, sq + 1.0, ones))
+    right = np.vstack((-2.0 * Y.T, ones, sq))
+    charges = np.column_stack((Y, ones))
+    rep = np.zeros((n, 3))  # K^2 @ [Y, 1], row by row
+    blocks = _row_blocks(n, 2 * n)
+    buf = np.empty(blocks[0].stop * n)  # the first strip is the largest
+    total = 0.0
+    for rows in blocks:
+        b, w = rows.stop - rows.start, n - rows.start
+        k = buf[:b * w].reshape(b, w)
+        np.matmul(left[rows], right[:, rows.start:], out=k)
+        np.maximum(k, 1.0, out=k)
+        np.reciprocal(k, out=k)
         np.fill_diagonal(k, 0.0)
-        total += k[:, :b].sum() + 2.0 * k[:, b:].sum()
-        np.log(t, out=t)
-        t *= p
-        cross += t[:, :b].sum() + 2.0 * t[:, b:].sum()
-    row_sums, MY = np.zeros(n), np.zeros((n, 2))
-    for p, k, rows, cols, q, m in strips:
-        np.divide(k, total, out=q)
-        np.multiply(p, factor, out=m)  # exact for factor 1
-        m -= q
-        m *= k
-        row_sums[rows] += m.sum(axis=1)
-        MY[rows] += m @ Y[cols]
-        mirror = m[:, len(p):]  # M[j, i] for the rows j below the block
-        row_sums[rows.stop:] += mirror.sum(axis=0)
-        MY[rows.stop:] += mirror.T @ Y[rows]
-    grad = 4.0 * (row_sums[:, None] * Y - MY)
+        total += 2.0 * k.sum() - k[:, :b].sum()
+        k *= k
+        rep[rows] += k @ charges[rows.start:]
+        rep[rows.stop:] += k[:, b:].T @ charges[rows]
+
+    yt = np.ascontiguousarray(Y.T)
+    dy = np.take(yt, P.i, axis=1)
+    dy -= np.take(yt, P.j, axis=1)  # y_i - y_j on each pair
+    t = dy[0] * dy[0]
+    t += dy[1] * dy[1]
+    t += 1.0
+    dy *= P.p / t
+    # each pair's P_ij K_ij (y_i - y_j) goes to row i, and its negative to
+    # row j; i runs in order, so its sums are one pass (a bincount over i
+    # made the step at n = 800 take 2.4-2.8 ms instead of 2.0)
+    attr = np.zeros((2, n))
+    attr[:, P.i[P.starts]] = np.add.reduceat(dy, P.starts, axis=1)
+    for c in range(2):
+        attr[c] -= np.bincount(P.j, dy[c], n)
+    np.log(t, out=t)
+    t *= P.p
+    cross = 2.0 * float(np.sum(t))
+    grad = factor * attr.T
+    grad -= (Y * rep[:, 2:] - rep[:, :2]) / total
+    grad *= 4.0
     return float(entropy + cross + np.log(total)), grad
 
 
-def _entropy(P: np.ndarray) -> float:
-    """sum(P log P) over P > 0, with P log P formed in place a task-sized
-    part at a time, so P and its positive entries are the only n x n arrays."""
-    p = P[P > 0]
-    for part in _row_blocks(p.size, 1):
-        p[part] *= np.log(p[part])
-    return float(p.sum())
+def _entropy(P: Affinities) -> float:
+    """sum(P log P) over both directions."""
+    return 2.0 * float(np.sum(P.p * np.log(P.p)))
 
 
-def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+def kl_divergence_and_grad(P: Affinities, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(P || Q) under the Student-t low-dimensional kernel, with its gradient."""
-    strips = _upper_strips(P)
-    return _kl_step(strips, 1.0, _entropy(P), Y, [np.empty_like(s) for s in strips])
+    return _kl_step(P, 1.0, _entropy(P), Y)
 
 
 def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
@@ -263,18 +311,19 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
     lr = (n / cfg.early_exaggeration_factor if cfg.learning_rate is None
           else cfg.learning_rate)
 
-    P = joint_affinities(pairwise_distances(vectors, metric="cosine") ** 2, cfg.perplexity)
+    sq_dists = pairwise_distances(vectors, metric="cosine")
+    np.square(sq_dists, out=sq_dists)
+    P = joint_affinities(sq_dists, cfg.perplexity)
+    del sq_dists
 
     Y = 1e-4 * np.random.default_rng(cfg.seed).standard_normal((n, 2)) if init is None else init
     velocity = np.zeros_like(Y)
     kl_trace = np.empty(cfg.iterations)
     entropy = _entropy(P)
-    P = _upper_strips(P)  # frees the dense matrix
-    K = [np.empty_like(p) for p in P]
     for it in range(cfg.iterations):
         factor = cfg.early_exaggeration_factor if it < cfg.early_exaggeration_iters else 1.0
         # trace is always against the true affinities, also while exaggerating
-        kl_true, grad = _kl_step(P, factor, entropy, Y, K)
+        kl_true, grad = _kl_step(P, factor, entropy, Y)
         if not np.isfinite(kl_true):
             raise AnalysisError(f"non-finite divergence at iteration {it}")
         kl_trace[it] = kl_true
@@ -286,7 +335,9 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
 
     Y.flags.writeable = False
     kl_trace.flags.writeable = False
-    return ProjectionResult(coords=Y, kl_trace=kl_trace, config=cfg, learning_rate=lr)
+    return ProjectionResult(coords=Y, kl_trace=kl_trace, config=cfg, learning_rate=lr,
+                            neighbors=P.neighbors, pairs=P.p.size,
+                            uniform_rows=int(np.isinf(P.sigma).sum()))
 
 
 def trustworthiness(

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import embrobust
-from embrobust import (EmbeddingDataset, SynthSpec, assign_folds,
+from embrobust import (EmbeddingDataset, SynthSpec, TsneConfig, assign_folds,
                        build_neighbor_table, confounder_analysis,
                        frequency_curves, generate, knn_predict, load_dataset,
-                       logreg_cv, robustness_index, save_dataset)
+                       logreg_cv, robustness_index, save_dataset, tsne)
 from embrobust import cli, evaluation, neighbors
 from embrobust.cli import main
 from embrobust.dataset import COORDS_HEADER, MANIFEST_HEADER
@@ -583,6 +583,25 @@ def test_relation_svg_structure(workspace):
     root = ET.fromstring(path.read_text())
     markers = [e for e in root.iter(f"{SVG_NS}circle") if e.get("class") == "marker"]
     assert markers  # binned curve rendered with markers
+
+
+def test_tsne_json_reports_what_took_effect(workspace, tmp_path):
+    ds = _dataset(workspace)
+    payload = json.loads((workspace / "out" / "tsne.json").read_text())
+    cfg = TsneConfig(perplexity=8, iterations=80, early_exaggeration_iters=30, seed=2)
+    result = tsne(ds, cfg)
+    assert payload["run"]["parameters"]["learning_rate"] is None
+    assert payload["learning_rate"] == result.learning_rate == ds.n / 12
+    assert payload["affinities"] == {"neighbors": 24, "pairs": result.pairs,
+                                     "uniform_rows": 0}
+    assert 12 * ds.n <= result.pairs <= 24 * ds.n  # each row's 24, once or twice
+    ds_flags = ["--manifest", str(workspace / "data" / "manifest.csv"),
+                "--embeddings", str(workspace / "data" / "embeddings.bin")]
+    assert main(["tsne", *ds_flags, "--out-dir", str(tmp_path), "--perplexity", "8",
+                 "--tsne-iters", "80", "--tsne-early-iters", "30", "--seed", "2",
+                 "--tsne-lr", "50"]) == 0
+    given = json.loads((tmp_path / "tsne.json").read_text())
+    assert given["run"]["parameters"]["learning_rate"] == given["learning_rate"] == 50.0
 
 
 def test_tsne_svg_pair_same_positions_different_colors(workspace):
