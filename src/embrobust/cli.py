@@ -9,8 +9,9 @@ by path:
 
 - the last embedding-space cosine table (``_embedding_table``), keyed by
   the vectors' sha256, dtype and shape and, under --exclude-same-group, the
-  group ids; dropped by a table for other vectors, by ``tsne`` and by
-  ``eval --coords``, each before it builds n×n arrays of its own;
+  group ids; ``tsne`` ranks its affinities and its trustworthiness from it.
+  Dropped by a table for other vectors, and by ``eval --coords`` once its
+  kNN probes have read it;
 - the embedding-space regression probes (``_logreg_probe``) that ``eval``
   and ``relation`` fit, keyed by the same vector digest, the target's
   labels, the fold assignment, lambda and max_iter; dropped when a probe
@@ -136,9 +137,10 @@ def _inputs(args) -> dict:
 # The last embedding-space table built, as (key, table), so that the next
 # subcommand run in the same process (``main`` called again, as by
 # scripts/run_full_analysis.py) reuses it instead of recomputing the n×n
-# cosine product. Separate processes share nothing. At most one n×n matrix
-# is alive at a time: a miss drops the held table before it builds, and
-# every other n×n builder (``tsne``, ``eval --coords``) drops it first.
+# cosine product. Separate processes share nothing. At most one table is
+# alive at a time: a miss drops the held table before it builds, and the one
+# other table builder, ``eval --coords``, drops it once its embedding kNN
+# probes are done, before its regression probes and its 2D table.
 _held_table: tuple[tuple, NeighborTable] | None = None
 # The embedding-space regression probes fit on one set of vectors, by key
 # (see ``_logreg_probe``), so that ``relation`` reuses the bio probe ``eval``
@@ -334,20 +336,19 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _eval_block(probe_ds, nt, targets, k, lam, folds, logreg):
-    """The kNN and regression accuracies of each target; ``logreg(target)``
-    gives the regression probe."""
-    block: dict = {"knn": {"k": k}, "logreg": {"lambda": lam}}
-    for target in targets:
-        kr = knn_predict(probe_ds, nt, folds, target, k)
-        lr = logreg(target)
-        block["knn"][target] = {
-            "accuracy_mean": kr.accuracy_mean, "accuracy_std": kr.accuracy_std,
-            "fold_accuracy": list(kr.fold_accuracy)}
-        block["logreg"][target] = {
-            "accuracy_mean": lr.accuracy_mean, "accuracy_std": lr.accuracy_std,
-            "fold_accuracy": list(lr.fold_accuracy)}
-    return block
+def _accuracies(result: EvalResult) -> dict:
+    return {"accuracy_mean": result.accuracy_mean, "accuracy_std": result.accuracy_std,
+            "fold_accuracy": list(result.fold_accuracy)}
+
+
+def _knn_block(probe_ds, nt, targets, k, folds) -> dict:
+    return {"k": k, **{target: _accuracies(knn_predict(probe_ds, nt, folds, target, k))
+                       for target in targets}}
+
+
+def _logreg_block(targets, lam, logreg) -> dict:
+    """Each target's regression accuracies; ``logreg(target)`` gives the probe."""
+    return {"lambda": lam, **{target: _accuracies(logreg(target)) for target in targets}}
 
 
 def _accuracy_scatter(block: dict, title: str, meta: str) -> str:
@@ -374,23 +375,25 @@ def cmd_eval(args) -> int:
         "exclude_same_group": args.exclude_same_group,
     }, _inputs(args))
 
-    probes = (targets, args.k, args.lam, folds)
     vectors_key = _vectors_key(ds)
-    payload = {"embedding": _eval_block(
-        ds, _embedding_table(ds, vectors_key, args.exclude_same_group), *probes,
-        lambda target: _logreg_probe(ds, vectors_key, folds, target, args.lam,
-                                     args.logreg_max_iter))}
+    knn = _knn_block(ds, _embedding_table(ds, vectors_key, args.exclude_same_group),
+                     targets, args.k, folds)
     if coords is not None:
+        # no regression probe reads a table, and the 2D one is built next
         _drop_table()
+    payload = {"embedding": {"knn": knn, "logreg": _logreg_block(
+        targets, args.lam, lambda target: _logreg_probe(ds, vectors_key, folds, target,
+                                                        args.lam, args.logreg_max_iter))}}
+    if coords is not None:
         coords_ds = EmbeddingDataset.from_arrays(
             ds.ids, coords, ds.bio_labels, ds.conf_labels, ds.group_ids,
             require_nonzero=False)
-        payload["tsne2d"] = _eval_block(
-            coords_ds, build_neighbor_table(coords_ds, metric="euclidean",
-                                            exclude_same_group=args.exclude_same_group),
-            *probes,
-            lambda target: logreg_cv(coords_ds, folds, target, lam=args.lam,
-                                     max_iter=args.logreg_max_iter))
+        payload["tsne2d"] = {
+            "knn": _knn_block(coords_ds, build_neighbor_table(
+                coords_ds, metric="euclidean", exclude_same_group=args.exclude_same_group),
+                targets, args.k, folds),
+            "logreg": _logreg_block(targets, args.lam, lambda target: logreg_cv(
+                coords_ds, folds, target, lam=args.lam, max_iter=args.logreg_max_iter))}
     reports: dict = {"eval.json": payload}
     if args.target == "both":  # the accuracy scatter needs both axes
         reports["accuracy_embedding.svg"] = _accuracy_scatter(
@@ -452,7 +455,6 @@ def cmd_tsne(args) -> int:
     if args.tsne_iters < args.tsne_early_iters:
         raise UsageError(f"--tsne-iters must cover --tsne-early-iters, got "
                          f"{args.tsne_iters} < {args.tsne_early_iters}")
-    _drop_table()  # before anything else: the t-SNE builds an n×n array of its own
     ds = _load(args)
     if ds.n < 10:
         raise UsageError(f"t-SNE needs at least 10 samples, got {ds.n}")
@@ -461,7 +463,8 @@ def cmd_tsne(args) -> int:
         early_exaggeration_factor=args.tsne_early_factor,
         early_exaggeration_iters=args.tsne_early_iters,
         learning_rate=args.tsne_lr, seed=args.seed)
-    result = tsne(ds, cfg)
+    nt = _embedding_table(ds, _vectors_key(ds), False)
+    result = tsne(nt, cfg)
     run = _make_run("tsne", cfg.to_dict(), _inputs(args))
 
     def coloring(labels, cmap, what):
@@ -482,8 +485,8 @@ def cmd_tsne(args) -> int:
             "learning_rate": result.learning_rate,
             "affinities": {"neighbors": result.neighbors, "pairs": result.pairs,
                            "uniform_rows": result.uniform_rows},
-            "trustworthiness": {"k": t_k,
-                                "value": trustworthiness(ds, result.coords, t_k)},
+            "trustworthiness": {"k": t_k, "metric": "cosine",
+                                "value": trustworthiness(nt, result.coords, t_k)},
         },
     })
     print(f"t-SNE finished: final KL {result.kl_trace[-1]:.4f}")

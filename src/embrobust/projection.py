@@ -2,14 +2,15 @@
 projection diagnostics.
 
 The projection is unsupervised: affinities come only from pairwise
-distances in the embedding space (squared cosine distances, consistent with
-the toolkit-wide metric). As in Barnes-Hut SNE (van der Maaten 2014), each
-row is calibrated on its k = floor(3 * perplexity) nearest others, ranked
-by the neighbor module's exact kernel, and P is the symmetrization of
-those conditional affinities over the union of the kNN graphs: a list of
-pairs i < j (104 852 on criterion 9's n = 2000 set, at perplexity 30).
-``tsne`` squares its cosine matrix in place and frees it once P is built,
-so a run holds one n x n array, before the loop and never in it.
+distances in the embedding space, read from the caller's
+``neighbors.NeighborTable`` (the cosine table every other analysis takes,
+so the geometry is whichever table the caller built). As in Barnes-Hut SNE
+(van der Maaten 2014), each row is calibrated on the squared distances of
+its k = floor(3 * perplexity) nearest others, ranked by the table, and P
+is the symmetrization of those conditional affinities over the union of
+the kNN graphs: a list of pairs i < j (104 852 on criterion 9's n = 2000
+set, at perplexity 30). The table holds the embeddings' one n x n array:
+``tsne`` allocates none, and ``trustworthiness`` only the 2D coordinates'.
 
 Each gradient step is one sweep over the upper strips ``rows x rows.start:``
 of the row blocks of ``neighbors._row_blocks``, in one reused buffer of
@@ -35,9 +36,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import EmbeddingDataset
 from .evaluation import AnalysisError
-from .neighbors import _map_blocks, _rank_rows, _row_blocks, pairwise_distances
+from .neighbors import NeighborTable, _map_blocks, _rank_rows, _row_blocks, pairwise_distances
 
 @dataclass(frozen=True)
 class TsneConfig:
@@ -142,34 +142,27 @@ class Affinities:
     sigma: np.ndarray   # (n,) float64
 
 
-def joint_affinities(sq_dists: np.ndarray, perplexity: float) -> Affinities:
-    """Symmetrized affinities from an n x n matrix of squared distances.
+def joint_affinities(nt: NeighborTable, perplexity: float) -> Affinities:
+    """Symmetrized affinities from the squared distances of a neighbor table.
 
     Each row's k = floor(3 * perplexity) nearest others (at most n - 1;
-    ties to the lower index, self excluded) are ranked with the neighbor
-    module's exact kernel, and the row is calibrated on their squared
-    distances with one ``perplexity_calibration`` call. Then
-    P_ij = P_ji = (c_ij + c_ji) / (2n) over every pair where one of the two
-    rows holds the other, c being the conditional affinities (0 off a
-    row's neighbors), as in Barnes-Hut SNE (van der Maaten 2014).
+    ties to the lower index) are ``nt.ranked``, and the row is calibrated
+    on their squared distances with one ``perplexity_calibration`` call.
+    Then P_ij = P_ji = (c_ij + c_ji) / (2n) over every pair where one of the
+    two rows holds the other, c being the conditional affinities (0 off a
+    row's neighbors), as in Barnes-Hut SNE (van der Maaten 2014). Raises
+    ``ValueError`` for a table built with ``exclude_same_group``: a row's
+    neighbors are ranked among all n - 1 others.
     """
-    n = sq_dists.shape[0]
+    if nt.groups is not None:
+        raise ValueError("joint affinities rank all n - 1 others: "
+                         "the table must not exclude same-group pairs")
+    n = nt.n
     k = min(int(3 * perplexity), n - 1)
     # each row's squared distances to its neighbors, then its affinities
-    nbrs, cond = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-    # ranked a block at a time in this thread, and each n x k array freed
-    # once used, so the call holds about 3.3 MiB beside sq_dists at n = 800:
-    # ranked on the pool, and with every n x k temporary held, it took 5.5,
-    # the threads' malloc arenas kept their tasks' temporaries, and
-    # full_pipeline's peak RSS rose by 0.4 MiB, to save 2 ms
-    for rows in _row_blocks(n, n):
-        ranked = _rank_rows(sq_dists[rows], k + 1)
-        # self is among a row's first k + 1 unless more than k lower-index
-        # others tie it at its distance; then the first k are all others
-        own = ranked == np.arange(rows.start, rows.stop)[:, None]
-        own[~own.any(axis=1), k] = True
-        nbrs[rows] = ranked[~own].reshape(-1, k)
-        cond[rows] = np.take_along_axis(sq_dists[rows], nbrs[rows], axis=1)
+    nbrs = nt.ranked(slice(None), k)
+    cond = np.take_along_axis(nt.distances, nbrs, axis=1)
+    np.square(cond, out=cond)
     sigma = np.empty(n)
     for r in range(n):
         sigma[r], cond[r] = perplexity_calibration(cond[r], perplexity)
@@ -268,9 +261,10 @@ def kl_divergence_and_grad(P: Affinities, Y: np.ndarray) -> tuple[float, np.ndar
     return _kl_step(P, 1.0, _entropy(P), Y)
 
 
-def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
+def tsne(nt: NeighborTable, cfg: TsneConfig = TsneConfig(),
          init: np.ndarray | None = None) -> ProjectionResult:
-    """Project to 2D by gradient descent on the Kullback-Leibler objective.
+    """Project the table's samples to 2D by gradient descent on the
+    Kullback-Leibler objective, with ``joint_affinities(nt, cfg.perplexity)``.
 
     Deterministic given the seed: initial coordinates are a small isotropic
     Gaussian cloud from a seeded generator, unless ``init`` gives them as an
@@ -282,7 +276,8 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
     for a perplexity that is not a finite number >= 1 (no distribution has
     a perplexity 2^H below 1), a learning rate or early-exaggeration factor
     that is not a finite number > 0, fewer than one iteration, a negative
-    early-exaggeration length or an ``init`` that is not n x 2 and finite.
+    early-exaggeration length, an ``init`` that is not n x 2 and finite, or
+    a table built with ``exclude_same_group``.
     """
     if not (np.isfinite(cfg.perplexity) and cfg.perplexity >= 1):
         raise ValueError(f"perplexity must be a finite number >= 1, got {cfg.perplexity}")
@@ -295,8 +290,7 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
     if cfg.early_exaggeration_iters < 0:
         raise ValueError(
             f"early exaggeration iterations must be >= 0, got {cfg.early_exaggeration_iters}")
-    vectors = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds)
-    n = vectors.shape[0]
+    n = nt.n
     if n < 10:
         raise AnalysisError(f"t-SNE needs at least 10 samples, got {n}")
     if cfg.perplexity >= (n - 1) / 3:
@@ -311,10 +305,7 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
     lr = (n / cfg.early_exaggeration_factor if cfg.learning_rate is None
           else cfg.learning_rate)
 
-    sq_dists = pairwise_distances(vectors, metric="cosine")
-    np.square(sq_dists, out=sq_dists)
-    P = joint_affinities(sq_dists, cfg.perplexity)
-    del sq_dists
+    P = joint_affinities(nt, cfg.perplexity)
 
     Y = 1e-4 * np.random.default_rng(cfg.seed).standard_normal((n, 2)) if init is None else init
     velocity = np.zeros_like(Y)
@@ -340,39 +331,39 @@ def tsne(ds: EmbeddingDataset | np.ndarray, cfg: TsneConfig = TsneConfig(),
                             uniform_rows=int(np.isinf(P.sigma).sum()))
 
 
-def trustworthiness(
-    ds: EmbeddingDataset | np.ndarray,
-    coords: np.ndarray,
-    k: int = 12,
-) -> float:
+def trustworthiness(nt: NeighborTable, coords: np.ndarray, k: int = 12) -> float:
     """Rank-based projection fidelity in [0, 1].
 
     Penalizes points that are k-nearest neighbors in the projection but not
     in the original space, weighted by how far down the original ranking
-    they sit. Both spaces are ranked under Euclidean distance, so the score
-    is invariant to rigid motions of the coordinates. Each row-block task on
-    the ranking pool returns its rows' penalty, an exact integer, so the
-    score is the same for any worker count.
+    they sit. The original space is ranked by the table's distances, so the
+    geometry is the table's (cosine for the CLI's, as t-SNE's affinities);
+    the projection under Euclidean distance, so the score is invariant to
+    rigid motions of the coordinates. Each row-block task on the ranking
+    pool returns its rows' penalty, an exact integer, so the score is the
+    same for any worker count. Raises ``ValueError`` for a table built with
+    ``exclude_same_group``: the definition ranks all n - 1 others.
     """
-    X = ds.vectors if isinstance(ds, EmbeddingDataset) else np.asarray(ds)
+    if nt.groups is not None:
+        raise ValueError("trustworthiness ranks all n - 1 others: "
+                         "the table must not exclude same-group pairs")
     coords = np.asarray(coords, dtype=np.float64)
-    n = X.shape[0]
+    n = nt.n
     if coords.shape[0] != n:
-        raise ValueError("coords row count differs from dataset")
+        raise ValueError("coords row count differs from the table's")
     if not 1 <= k < n / 2:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k}, n={n}")
 
-    dh = pairwise_distances(X, metric="euclidean")
     dl = pairwise_distances(coords, metric="euclidean")
-    np.fill_diagonal(dh, np.inf)
     np.fill_diagonal(dl, np.inf)
     # high-space rank of each of the k low-space neighbors j of i, under the
-    # tie rule: 1 + #{m : dh[i, m] < dh[i, j], or equal with m < j}
+    # tie rule: 1 + #{m : dh[i, m] < dh[i, j], or equal with m < j}, dh
+    # being the table's distances (+inf on the diagonal)
     cols = np.arange(n)
 
     def block_penalty(rows: slice) -> int:
         low = _rank_rows(dl[rows], k)[:, :, None]
-        high = dh[rows][:, None, :]
+        high = nt.distances[rows][:, None, :]
         at = np.take_along_axis(high, low, axis=2)
         before = (high < at) | ((high == at) & (cols < low))
         ranks = before.sum(axis=2) + 1

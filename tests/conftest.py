@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from embrobust import EmbeddingDataset, SynthSpec, cli, generate
+from embrobust import (EmbeddingDataset, NeighborTable, SynthSpec, build_neighbor_table,
+                       cli, generate)
 
 # HYPOTHESIS_PROFILE=ci (set in CI) fixes the example sequence and prints a
 # reproduction blob with any failure, so a fuzz failure there reruns here.
@@ -48,6 +49,15 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("cosine distance undefined for zero-norm vector")
     d = 1.0 - (u * v).sum() / (nu * nv)
     return float(min(max(d, 0.0), 2.0))
+
+
+def table_of(vectors: np.ndarray, metric: str = "cosine") -> NeighborTable:
+    """The neighbor table of bare vectors under ``metric``, for the calls that
+    take a table (``tsne``, ``trustworthiness``); the labels are placeholders."""
+    n = len(vectors)
+    return build_neighbor_table(EmbeddingDataset.from_arrays(
+        [f"s{i}" for i in range(n)], vectors, ["a"] * n, ["a"] * n,
+        require_nonzero=False), metric=metric)
 
 
 def make_random_dataset(seed: int, n: int, dim: int, n_bio: int = 3,

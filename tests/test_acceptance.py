@@ -21,6 +21,8 @@ from embrobust.evaluation import DEFAULT_K_GRID, softmax_loss_grad
 from embrobust.neighbors import pairwise_distances
 from embrobust.projection import joint_affinities, kl_divergence_and_grad
 
+from conftest import table_of
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -259,7 +261,7 @@ def test_criterion_07_tsne():
 
         # gradient vs finite differences at n = 20
         X = rng.normal(size=(20, 6))
-        P = joint_affinities(pairwise_distances(X, "cosine") ** 2, 5.0)
+        P = joint_affinities(table_of(X), 5.0)
         Y = rng.normal(size=(20, 2))
         _, grad = kl_divergence_and_grad(P, Y)
         h = 1e-5
@@ -275,7 +277,7 @@ def test_criterion_07_tsne():
         # two-cluster construction: perfect separation, high trustworthiness,
         # from the seed-0 start and from 12 starts that each move one of its
         # coordinates up by one ulp, so a pass is no lucky draw
-        clusters = two_arc_clusters()
+        clusters = er.build_neighbor_table(two_arc_clusters())
         cfg = er.TsneConfig(perplexity=20, iterations=600, seed=0)
         result = er.tsne(clusters, cfg)
         start = 1e-4 * np.random.default_rng(0).standard_normal((100, 2))
@@ -405,8 +407,9 @@ def test_criterion_10_permutation_nulls():
         # trustworthiness of random coords vs its permutation null
         X = rng.normal(size=(200, 12))
         coords = rng.normal(size=(200, 2))
-        observed = er.trustworthiness(X, coords, 12)
+        nt = table_of(X, "euclidean")
+        observed = er.trustworthiness(nt, coords, 12)
         null = np.array([
-            er.trustworthiness(X, coords[np.random.default_rng(s).permutation(200)], 12)
+            er.trustworthiness(nt, coords[np.random.default_rng(s).permutation(200)], 12)
             for s in range(100)])
         assert abs(observed - null.mean()) <= 3.0 * null.std()

@@ -21,8 +21,9 @@ import embrobust
 from embrobust import (EmbeddingDataset, SynthSpec, TsneConfig, assign_folds,
                        build_neighbor_table, confounder_analysis,
                        frequency_curves, generate, knn_predict, load_dataset,
-                       logreg_cv, robustness_index, save_dataset, tsne)
-from embrobust import cli, evaluation, neighbors
+                       logreg_cv, robustness_index, save_dataset, trustworthiness,
+                       tsne)
+from embrobust import cli, evaluation, neighbors, projection
 from embrobust.cli import main
 from embrobust.dataset import COORDS_HEADER, MANIFEST_HEADER
 
@@ -425,9 +426,9 @@ def test_relation_k_grid_beyond_the_folds_exits_3(tmp_path, capsys):
 
 def test_shared_table_raises_no_subcommands_traced_peak(tmp_path, monkeypatch):
     """In one process at n = 600, no subcommand traces more than 1 MiB above
-    its peak with no table held before it: the held table (2.9 MB) is
-    dropped before tsne, and before eval --coords builds its second table,
-    so eval --coords peaks no higher than eval without coordinates."""
+    its peak with no table held before it: tsne ranks from the held table
+    (2.9 MB), which eval --coords drops once its kNN probes have read it, so
+    eval --coords peaks no higher than eval without coordinates."""
     # one worker: with two, whether two 1 MB tasks overlap moves a peak by 1 MiB
     monkeypatch.setattr(neighbors, "_workers", lambda: 1)
     commands = {name: argv for name, argv in
@@ -459,6 +460,59 @@ def test_shared_table_raises_no_subcommands_traced_peak(tmp_path, monkeypatch):
     for name in commands:
         assert warm[name] <= cold[name] + 2**20, (name, warm[name], cold[name])
     assert warm["eval plain"] <= eval_without_coords + 2**20
+
+
+def count_distance_work(monkeypatch) -> tuple[list, list]:
+    """The metric of every table the CLI builds, and of every
+    ``pairwise_distances`` call, from now on, in call order."""
+    builds, products = [], []
+    pairwise_distances = neighbors.pairwise_distances
+
+    def build(ds, metric="cosine", **kwargs):
+        builds.append(metric)
+        return build_neighbor_table(ds, metric=metric, **kwargs)
+
+    def pairwise(vectors, metric="cosine"):
+        products.append(metric)
+        return pairwise_distances(vectors, metric)
+
+    monkeypatch.setattr(cli, "build_neighbor_table", build)
+    for module in (neighbors, projection):
+        monkeypatch.setattr(module, "pairwise_distances", pairwise)
+    return builds, products
+
+
+def test_tsne_and_eval_reuse_the_table_index_built(workspace, tmp_path, monkeypatch):
+    """After index, tsne ranks its affinities and its trustworthiness from
+    the held cosine table: it builds none, and its one distance product is
+    the 2D coordinates'. eval --coords then builds only the 2D table, and
+    frees the held one before its first regression fit."""
+    ds_flags = ["--manifest", str(workspace / "data" / "manifest.csv"),
+                "--embeddings", str(workspace / "data" / "embeddings.bin")]
+    out = tmp_path / "out"
+    assert main(["index", *ds_flags, "--k", "10", "--out-dir", str(out)]) == 0
+    builds, products = count_distance_work(monkeypatch)
+    assert main(["tsne", *ds_flags, "--out-dir", str(out), "--perplexity", "8",
+                 "--tsne-iters", "80", "--tsne-early-iters", "30", "--seed", "2"]) == 0
+    assert (builds, products) == ([], ["euclidean"])
+    held = weakref.ref(cli._held_table[1])
+    table_alive_at_fit = []
+    fit = evaluation.logreg_fit
+
+    def watched(*args, **kwargs):
+        table_alive_at_fit.append(held() is not None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "logreg_fit", watched)
+    assert main(["eval", *ds_flags, "--out-dir", str(out), "--logreg-max-iter", "300",
+                 "--coords", str(out / "tsne_coords.csv")]) == 0
+    assert (builds, products) == (["euclidean"], ["euclidean", "euclidean"])
+    assert table_alive_at_fit == [False] * 20  # 2 targets x 5 folds, embedding and 2D
+    for name in ("tsne.json", "tsne_coords.csv"):
+        assert (out / name).read_bytes() == (workspace / "out" / name).read_bytes(), name
+    reports = [json.loads((where / "eval.json").read_text()) for where in (out, workspace / "out")]
+    for block in ("embedding", "tsne2d"):
+        assert reports[0][block] == reports[1][block]
 
 
 def test_outputs_identical_across_ranking_worker_counts(tmp_path, monkeypatch):
@@ -589,12 +643,18 @@ def test_tsne_json_reports_what_took_effect(workspace, tmp_path):
     ds = _dataset(workspace)
     payload = json.loads((workspace / "out" / "tsne.json").read_text())
     cfg = TsneConfig(perplexity=8, iterations=80, early_exaggeration_iters=30, seed=2)
-    result = tsne(ds, cfg)
+    nt = build_neighbor_table(ds)
+    result = tsne(nt, cfg)
     assert payload["run"]["parameters"]["learning_rate"] is None
     assert payload["learning_rate"] == result.learning_rate == ds.n / 12
     assert payload["affinities"] == {"neighbors": 24, "pairs": result.pairs,
                                      "uniform_rows": 0}
     assert 12 * ds.n <= result.pairs <= 24 * ds.n  # each row's 24, once or twice
+    # scored in t-SNE's own geometry, the cosine table
+    cosine = trustworthiness(nt, result.coords, 12)
+    assert payload["trustworthiness"] == {"k": 12, "metric": "cosine", "value": cosine}
+    assert cosine != trustworthiness(build_neighbor_table(ds, metric="euclidean"),
+                                     result.coords, 12)
     ds_flags = ["--manifest", str(workspace / "data" / "manifest.csv"),
                 "--embeddings", str(workspace / "data" / "embeddings.bin")]
     assert main(["tsne", *ds_flags, "--out-dir", str(tmp_path), "--perplexity", "8",

@@ -15,10 +15,10 @@ import pytest
 
 from embrobust import (EmbeddingDataset, TsneConfig, build_neighbor_table, load_dataset,
                        logreg_fit, save_dataset, trustworthiness, tsne)
-from embrobust import projection
+from embrobust import neighbors
 from embrobust.neighbors import pairwise_distances
 
-from conftest import make_synth
+from conftest import make_synth, table_of
 
 SHAPES = [(300, 64), (40, 768)]
 
@@ -49,7 +49,7 @@ def test_logreg_fit_float32_matches_float64_copy(n, d):
 
 
 def _spy_on_distances(monkeypatch) -> list:
-    """The dtype of every array that ``projection`` passes to
+    """The dtype of every array that a table build passes to
     ``pairwise_distances``, in call order."""
     seen = []
 
@@ -57,7 +57,7 @@ def _spy_on_distances(monkeypatch) -> list:
         seen.append(vectors.dtype)
         return pairwise_distances(vectors, metric)
 
-    monkeypatch.setattr(projection, "pairwise_distances", spy)
+    monkeypatch.setattr(neighbors, "pairwise_distances", spy)
     return seen
 
 
@@ -68,8 +68,8 @@ def test_tsne_float32_matches_float64_copy(n, d, monkeypatch):
     seen = _spy_on_distances(monkeypatch)
     v32 = _float32(n, d, seed=2)
     cfg = TsneConfig(perplexity=10.0, iterations=60, early_exaggeration_iters=20, seed=3)
-    got = tsne(v32, cfg)
-    want = tsne(v32.astype(np.float64), cfg)
+    got = tsne(table_of(v32), cfg)
+    want = tsne(table_of(v32.astype(np.float64)), cfg)
     assert seen == [np.float32, np.float64]
     assert got.coords.tobytes() == want.coords.tobytes()
     assert got.kl_trace.tobytes() == want.kl_trace.tobytes()
@@ -79,8 +79,8 @@ def test_trustworthiness_float32_matches_float64_copy(monkeypatch):
     seen = _spy_on_distances(monkeypatch)
     v32 = _float32(120, 64, seed=4)
     coords = np.random.default_rng(5).normal(size=(120, 2))
-    got = trustworthiness(v32, coords)
-    want = trustworthiness(v32.astype(np.float64), coords)
+    got = trustworthiness(table_of(v32, "euclidean"), coords)
+    want = trustworthiness(table_of(v32.astype(np.float64), "euclidean"), coords)
     assert seen[0] == np.float32
     assert got == want
 

@@ -17,7 +17,7 @@ from embrobust.neighbors import pairwise_distances
 from embrobust.projection import (_entropy, _kl_step, joint_affinities,
                                   kl_divergence_and_grad)
 
-from conftest import make_random_dataset
+from conftest import cosine_distance, make_random_dataset, table_of
 
 
 def two_arc_clusters(seed=10, n_per=50, dim=50):
@@ -90,7 +90,7 @@ def reference_tsne(X, cfg):
     """The loop written with a fresh array per step: the oracle ``tsne``
     must match bit for bit while one block covers every row."""
     n = X.shape[0]
-    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, cfg.perplexity)
+    P = joint_affinities(table_of(X), cfg.perplexity)
     lr = n / cfg.early_exaggeration_factor if cfg.learning_rate is None else cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     Y = 1e-4 * rng.standard_normal((n, 2))
@@ -109,14 +109,22 @@ def reference_tsne(X, cfg):
     return Y, np.array(kl_trace)
 
 
-def reference_trustworthiness(X, Y, k):
-    """Venna & Kaski's definition, one point at a time; ties go to the lower
-    index in both spaces."""
+def high_distances(X, i, metric):
+    """Distances from X[i] to every row of X, one pair at a time."""
+    if metric == "euclidean":
+        return np.linalg.norm(X - X[i], axis=1)
+    return np.array([cosine_distance(X[i], x) for x in X])
+
+
+def reference_trustworthiness(X, Y, k, metric="euclidean"):
+    """Venna & Kaski's definition, one point at a time, the high space under
+    ``metric`` (euclidean or cosine), the projection under euclidean
+    distance; ties go to the lower index in both spaces."""
     n = X.shape[0]
     penalty = 0
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        dx = np.linalg.norm(X - X[i], axis=1)
+        dx = high_distances(X, i, metric)
         dy = np.linalg.norm(Y - Y[i], axis=1)
         high = sorted(others, key=lambda j: (dx[j], j))
         rank = {j: r + 1 for r, j in enumerate(high)}
@@ -187,15 +195,15 @@ def brute_force_affinities(sq_dists, perplexity):
 
 def test_joint_affinities_invariants():
     ds = make_random_dataset(seed=2, n=30, dim=6)
-    d2 = pairwise_distances(ds.vectors, "cosine") ** 2
-    P = joint_affinities(d2, 8.0)
+    nt = build_neighbor_table(ds)
+    P = joint_affinities(nt, 8.0)
     assert P.neighbors == 24
     assert (P.i < P.j).all() and (P.p > 0).all()
     assert (np.diff(P.i * 30 + P.j) > 0).all()  # in (i, j) order, each pair once
     D = dense(P)
     assert np.array_equal(D, D.T) and (D >= 0).all() and (np.diag(D) == 0).all()
     assert D.sum() == pytest.approx(1.0, abs=1e-12)
-    ref, sigma = brute_force_affinities(d2, 8.0)
+    ref, sigma = brute_force_affinities(nt.distances ** 2, 8.0)
     assert np.array_equal(D, ref)
     assert np.array_equal(P.sigma, sigma)
 
@@ -207,11 +215,14 @@ def test_joint_affinities_tie_rule_and_uniform_rows():
     calibrated and fall back to uniform, with sigma inf."""
     rng = np.random.default_rng(4)
     X = np.vstack([np.zeros((5, 2)), rng.integers(0, 4, size=(25, 2))]).astype(float)
+    nt = table_of(X, "euclidean")
+    # integer points: every distance is the square root of an exact integer
     d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(nt.distances, np.sqrt(d2) + np.diag(np.full(30, np.inf)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        P = joint_affinities(d2, 1.0)
-        ref, sigma = brute_force_affinities(d2, 1.0)
+        P = joint_affinities(nt, 1.0)
+        ref, sigma = brute_force_affinities(nt.distances ** 2, 1.0)
     assert P.neighbors == 3
     assert np.array_equal(dense(P), ref)
     assert np.array_equal(P.sigma, sigma)
@@ -222,8 +233,7 @@ def test_kl_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     n = 20
     X = rng.normal(size=(n, 8))
-    d2 = pairwise_distances(X, "cosine") ** 2
-    P = joint_affinities(d2, 5.0)
+    P = joint_affinities(table_of(X), 5.0)
     Y = rng.normal(size=(n, 2))
     _, grad = kl_divergence_and_grad(P, Y)
     h = 1e-5
@@ -240,8 +250,8 @@ def test_kl_gradient_matches_finite_differences():
 
 
 def _step_inputs(scale, n=60):
-    X = make_random_dataset(seed=31, n=n, dim=12).vectors
-    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, 10.0)
+    P = joint_affinities(build_neighbor_table(make_random_dataset(seed=31, n=n, dim=12)),
+                         10.0)
     return P, scale * np.random.default_rng(3).standard_normal((n, 2))
 
 
@@ -276,9 +286,8 @@ def test_strip_state_and_one_step_memory():
     """One step at n = 600 allocates no n x n array: it traces 0.53 * 8n^2
     bytes, its 0.5 MB strip buffer and temporaries of P's 28 456 pairs."""
     n = 600
-    X = make_random_dataset(seed=5, n=n, dim=16).vectors
     Y = np.random.default_rng(1).standard_normal((n, 2))
-    P = joint_affinities(pairwise_distances(X, "cosine") ** 2, 30.0)
+    P = joint_affinities(build_neighbor_table(make_random_dataset(seed=5, n=n, dim=16)), 30.0)
     entropy = _entropy(P)
     tracemalloc.start()
     try:
@@ -290,15 +299,15 @@ def test_strip_state_and_one_step_memory():
 
 
 def test_tsne_traced_peak_at_n_2400():
-    """A tsne call holds one n x n array, the squared distances, and frees
-    it before the loop: at n = 2400, d = 768 it traces under 1.5 * 8n^2
-    (1.32 * 8n^2: the n x n matrix beside pairwise_distances' unit vectors).
-    The dense-P loop took 2.1 * 8n^2."""
+    """A table build and a tsne call on it hold one n x n array, the
+    table's distances; tsne allocates none: at n = 2400, d = 768 the two
+    trace under 1.5 * 8n^2 (1.32 * 8n^2: the n x n matrix beside
+    pairwise_distances' unit vectors). The dense-P loop took 2.1 * 8n^2."""
     n = 2400
-    X = make_random_dataset(seed=6, n=n, dim=768).vectors
+    ds = make_random_dataset(seed=6, n=n, dim=768)
     tracemalloc.start()
     try:
-        tsne(X, TsneConfig(iterations=30, early_exaggeration_iters=10))
+        tsne(build_neighbor_table(ds), TsneConfig(iterations=30, early_exaggeration_iters=10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,12 +340,13 @@ def test_kl_gradient_matches_finite_differences_in_row_blocks(monkeypatch):
 @pytest.fixture(scope="module")
 def cluster_projection():
     ds = two_arc_clusters()
-    result = tsne(ds, TsneConfig(perplexity=20, iterations=600, seed=0))
-    return ds, result
+    nt = build_neighbor_table(ds)
+    result = tsne(nt, TsneConfig(perplexity=20, iterations=600, seed=0))
+    return ds, nt, result
 
 
 def test_two_clusters_separate(cluster_projection):
-    ds, result = cluster_projection
+    _, _, result = cluster_projection
     Y = result.coords
     m_a, m_b = Y[:50].mean(axis=0), Y[50:].mean(axis=0)
     pred = np.linalg.norm(Y - m_b, axis=1) < np.linalg.norm(Y - m_a, axis=1)
@@ -345,7 +355,7 @@ def test_two_clusters_separate(cluster_projection):
 
 
 def test_kl_trace_progress(cluster_projection):
-    _, result = cluster_projection
+    _, _, result = cluster_projection
     kl = result.kl_trace
     assert np.isfinite(kl).all() and (kl >= 0).all()
     end_of_exaggeration = result.config.early_exaggeration_iters - 1
@@ -354,21 +364,21 @@ def test_kl_trace_progress(cluster_projection):
 
 
 def test_projection_trustworthiness(cluster_projection):
-    ds, result = cluster_projection
-    assert trustworthiness(ds, result.coords, 12) > 0.95
+    _, nt, result = cluster_projection
+    assert trustworthiness(nt, result.coords, 12) > 0.95
 
 
 def test_tsne_deterministic(cluster_projection):
-    ds, result = cluster_projection
-    again = tsne(ds, TsneConfig(perplexity=20, iterations=600, seed=0))
+    _, nt, result = cluster_projection
+    again = tsne(nt, TsneConfig(perplexity=20, iterations=600, seed=0))
     assert np.array_equal(result.coords, again.coords)
     assert np.array_equal(result.kl_trace, again.kl_trace)
-    other = tsne(ds, TsneConfig(perplexity=20, iterations=300, seed=1))
+    other = tsne(nt, TsneConfig(perplexity=20, iterations=300, seed=1))
     assert not np.array_equal(result.coords[:10], other.coords[:10])
 
 
 def test_tsne_matches_reference_loop_bit_for_bit(cluster_projection):
-    ds, result = cluster_projection
+    ds, _, result = cluster_projection
     coords, kl = reference_tsne(ds.vectors, result.config)
     assert result.coords.tobytes() == coords.tobytes()
     assert result.kl_trace.tobytes() == kl.tobytes()
@@ -376,58 +386,58 @@ def test_tsne_matches_reference_loop_bit_for_bit(cluster_projection):
     X = make_random_dataset(seed=23, n=60, dim=12).vectors
     cfg = TsneConfig(perplexity=10, iterations=200, early_exaggeration_iters=60,
                      momentum_switch_iter=120, seed=4)
-    result = tsne(X, cfg)
+    result = tsne(table_of(X), cfg)
     coords, kl = reference_tsne(X, cfg)
     assert result.coords.tobytes() == coords.tobytes()
     assert result.kl_trace.tobytes() == kl.tobytes()
 
 
 def test_learning_rate_defaults_to_n_over_exaggeration():
-    X = make_random_dataset(seed=1, n=40, dim=4).vectors
+    nt = build_neighbor_table(make_random_dataset(seed=1, n=40, dim=4))
     cfg = TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5,
                      early_exaggeration_factor=8.0)
-    auto = tsne(X, cfg)
+    auto = tsne(nt, cfg)
     assert cfg.learning_rate is None and auto.learning_rate == 5.0
-    given = tsne(X, replace(cfg, learning_rate=5.0))
+    given = tsne(nt, replace(cfg, learning_rate=5.0))
     assert given.coords.tobytes() == auto.coords.tobytes()
-    assert tsne(X, replace(cfg, learning_rate=7.0)).learning_rate == 7.0
+    assert tsne(nt, replace(cfg, learning_rate=7.0)).learning_rate == 7.0
 
 
 def test_tsne_starts_from_init():
-    X = make_random_dataset(seed=1, n=40, dim=4).vectors
+    nt = build_neighbor_table(make_random_dataset(seed=1, n=40, dim=4))
     cfg = TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5, seed=3)
     seeded = 1e-4 * np.random.default_rng(3).standard_normal((40, 2))
-    assert tsne(X, cfg, init=seeded).coords.tobytes() == tsne(X, cfg).coords.tobytes()
+    assert tsne(nt, cfg, init=seeded).coords.tobytes() == tsne(nt, cfg).coords.tobytes()
     for bad in (seeded[:-1], seeded[:, :1], np.where(seeded > 0, np.nan, seeded)):
         with pytest.raises(ValueError, match=r"^init must be a finite \(40, 2\) array$"):
-            tsne(X, cfg, init=bad)
+            tsne(nt, cfg, init=bad)
 
 
 def test_config_echoed(cluster_projection):
-    _, result = cluster_projection
+    _, _, result = cluster_projection
     assert result.config.perplexity == 20
     assert result.config.iterations == 600
     assert result.config.seed == 0
 
 
 def test_tsne_preconditions():
-    small = make_random_dataset(seed=1, n=8, dim=4)
+    small = build_neighbor_table(make_random_dataset(seed=1, n=8, dim=4))
     with pytest.raises(AnalysisError, match="at least 10"):
         tsne(small, TsneConfig())
-    ds = make_random_dataset(seed=1, n=40, dim=4)
+    nt = build_neighbor_table(make_random_dataset(seed=1, n=40, dim=4))
     with pytest.raises(AnalysisError, match="perplexity"):
-        tsne(ds, TsneConfig(perplexity=13.0))
+        tsne(nt, TsneConfig(perplexity=13.0))
     with pytest.raises(AnalysisError, match="early exaggeration"):
-        tsne(ds, TsneConfig(perplexity=5, iterations=100,
+        tsne(nt, TsneConfig(perplexity=5, iterations=100,
                             early_exaggeration_iters=200))
 
 
 @pytest.mark.parametrize("value", [0.5, 0.0, -3.0, float("nan"), float("inf")])
 def test_tsne_rejects_perplexity_below_one(value):
-    ds = make_random_dataset(seed=1, n=40, dim=4)
+    nt = build_neighbor_table(make_random_dataset(seed=1, n=40, dim=4))
     message = f"^perplexity must be a finite number >= 1, got {value}$"
     with pytest.raises(ValueError, match=message):
-        tsne(ds, TsneConfig(perplexity=value, iterations=20, early_exaggeration_iters=5))
+        tsne(nt, TsneConfig(perplexity=value, iterations=20, early_exaggeration_iters=5))
 
 
 @pytest.mark.parametrize("field, name", [
@@ -436,9 +446,9 @@ def test_tsne_rejects_perplexity_below_one(value):
 ])
 @pytest.mark.parametrize("value", [0.0, -200.0, float("nan"), float("inf")])
 def test_tsne_rejects_step_settings_that_are_not_positive_and_finite(field, name, value):
-    ds = make_random_dataset(seed=1, n=40, dim=4)
+    nt = build_neighbor_table(make_random_dataset(seed=1, n=40, dim=4))
     with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
-        tsne(ds, TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5,
+        tsne(nt, TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5,
                             **{field: value}))
 
 
@@ -450,18 +460,36 @@ def test_trustworthiness_lossless_projection():
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(60, 2))
     X = np.hstack([coords, np.zeros((60, 4))])
-    assert trustworthiness(X, coords, 10) == 1.0
+    assert trustworthiness(table_of(X, "euclidean"), coords, 10) == 1.0
 
 
 def test_trustworthiness_matches_brute_force(cluster_projection):
-    ds, result = cluster_projection
-    assert trustworthiness(ds, result.coords, 12) == pytest.approx(
+    ds, _, result = cluster_projection
+    nt = table_of(ds.vectors, "euclidean")
+    assert trustworthiness(nt, result.coords, 12) == pytest.approx(
         reference_trustworthiness(ds.vectors, result.coords, 12), abs=1e-12)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(80, 7))
     Y = rng.normal(size=(80, 2))
-    assert trustworthiness(X, Y, 9) == pytest.approx(
+    assert trustworthiness(table_of(X, "euclidean"), Y, 9) == pytest.approx(
         reference_trustworthiness(X, Y, 9), abs=1e-12)
+
+
+def test_trustworthiness_of_a_cosine_table_matches_brute_force():
+    """The high space is ranked in the table's geometry: on vectors of
+    spread norms, a cosine table gives the cosine definition's value, which
+    is not the euclidean one."""
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(80, 7)) * rng.uniform(0.5, 2.0, size=(80, 1))
+    Y = rng.normal(size=(80, 2))
+    # no two of a row's pair-at-a-time distances within 1e-9 of each other,
+    # so the table's rounding cannot reorder them
+    for i in range(80):
+        gaps = np.diff(np.sort(np.delete(high_distances(X, i, "cosine"), i)))
+        assert gaps.min() > 1e-9
+    expected = reference_trustworthiness(X, Y, 9, "cosine")
+    assert trustworthiness(table_of(X), Y, 9) == expected
+    assert expected != reference_trustworthiness(X, Y, 9, "euclidean")
 
 
 def test_trustworthiness_tie_rule_on_integer_grid(monkeypatch):
@@ -472,40 +500,57 @@ def test_trustworthiness_tie_rule_on_integer_grid(monkeypatch):
     rng = np.random.default_rng(23)
     X = rng.integers(0, 3, size=(90, 4)).astype(float)
     Y = rng.integers(0, 4, size=(90, 2)).astype(float)
+    nt = table_of(X, "euclidean")
     for k in (1, 5, 12, 44):
         expected = reference_trustworthiness(X, Y, k)
         for workers in (1, 2, 3, 8):
             monkeypatch.setattr(neighbors, "_workers", lambda: workers)
-            assert trustworthiness(X, Y, k) == expected
+            assert trustworthiness(nt, Y, k) == expected
 
 
-def test_trustworthiness_matches_sklearn(cluster_projection):
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_trustworthiness_matches_sklearn(cluster_projection, metric):
     sklearn_manifold = pytest.importorskip("sklearn.manifold")
-    ds, result = cluster_projection
-    ours = trustworthiness(ds, result.coords, 12)
-    ref = sklearn_manifold.trustworthiness(ds.vectors, result.coords, n_neighbors=12)
+    ds, _, result = cluster_projection
+    ours = trustworthiness(table_of(ds.vectors, metric), result.coords, 12)
+    ref = sklearn_manifold.trustworthiness(ds.vectors, result.coords, n_neighbors=12,
+                                           metric=metric)
     assert ours == pytest.approx(ref, abs=1e-12)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(80, 7))
     Y = rng.normal(size=(80, 2))
-    assert trustworthiness(X, Y, 9) == pytest.approx(
-        sklearn_manifold.trustworthiness(X, Y, n_neighbors=9), abs=1e-12)
+    assert trustworthiness(table_of(X, metric), Y, 9) == pytest.approx(
+        sklearn_manifold.trustworthiness(X, Y, n_neighbors=9, metric=metric), abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda nt: joint_affinities(nt, 5.0),
+    lambda nt: tsne(nt, TsneConfig(perplexity=5, iterations=20, early_exaggeration_iters=5)),
+    lambda nt: trustworthiness(nt, np.zeros((nt.n, 2)), 5),
+], ids=["joint_affinities", "tsne", "trustworthiness"])
+def test_group_excluded_table_is_refused(call):
+    """Affinities and trustworthiness rank all n - 1 others of each row."""
+    ds = make_random_dataset(seed=1, n=40, dim=4)
+    grouped = EmbeddingDataset.from_arrays(ds.ids, ds.vectors, ds.bio_labels, ds.conf_labels,
+                                           [f"g{i // 2}" for i in range(ds.n)])
+    with pytest.raises(ValueError, match="must not exclude same-group pairs"):
+        call(build_neighbor_table(grouped, exclude_same_group=True))
 
 
 def test_trustworthiness_k_range():
     X = np.random.default_rng(0).normal(size=(20, 3))
     Y = X[:, :2]
     with pytest.raises(ValueError, match="k must satisfy"):
-        trustworthiness(X, Y, 10)  # k >= n/2
+        trustworthiness(table_of(X), Y, 10)  # k >= n/2
 
 
 def test_diagnostics_rigid_motion_invariant(cluster_projection):
-    ds, result = cluster_projection
+    ds, nt, result = cluster_projection
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
     moved = result.coords @ rot.T + np.array([13.0, -4.5])
-    assert trustworthiness(ds, moved, 12) == trustworthiness(ds, result.coords, 12)
+    assert trustworthiness(nt, moved, 12) == trustworthiness(nt, result.coords, 12)
 
     def knn_acc_on_coords(coords):
         probe = EmbeddingDataset.from_arrays(

@@ -25,3 +25,4 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert scope["report"].k == 50
     assert len(scope["conf"].k_grid) == len(scope["conf"].frac_same_center)
     assert scope["proj"].coords.shape == (400, 2)
+    assert 0.0 <= scope["trust"] <= 1.0
