@@ -342,8 +342,8 @@ def _accuracies(result: EvalResult) -> dict:
 
 
 def _knn_block(probe_ds, nt, targets, k, folds) -> dict:
-    return {"k": k, **{target: _accuracies(knn_predict(probe_ds, nt, folds, target, k))
-                       for target in targets}}
+    knn = knn_predict(probe_ds, nt, folds, k)
+    return {"k": k, **{target: _accuracies(knn[target]) for target in targets}}
 
 
 def _logreg_block(targets, lam, logreg) -> dict:

@@ -221,6 +221,16 @@ def _read_manifest(manifest_path: Path) -> list[list[str]]:
 _COORD_BOUND = 1e150
 
 
+def _coordinate(text: str) -> float:
+    """``float(text)`` under the embeddings CSV's value grammar: digit
+    separators (``1_0``) and non-ASCII digits (``１``), which ``float``
+    takes, raise ``ValueError``."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
     """Read a ``sample_id,x,y`` CSV holding one point per id of ``ds``, in
     any order, each coordinate finite and at most ``_COORD_BOUND`` in
@@ -230,7 +240,7 @@ def load_coords(path: str | Path, ds: EmbeddingDataset) -> np.ndarray:
     for i, (sid, *xy_text) in _read_table(path, COORDS_HEADER, "coords file"):
         where = f"{path}: row {i}"
         try:
-            xy = (float(xy_text[0]), float(xy_text[1]))
+            xy = tuple(_coordinate(text) for text in xy_text)
         except ValueError:
             raise DatasetError(f"{where}: non-numeric coordinate in {xy_text!r}") from None
         if not (abs(xy[0]) <= _COORD_BOUND and abs(xy[1]) <= _COORD_BOUND):

@@ -99,7 +99,8 @@ def assign_folds(ds: EmbeddingDataset, n_folds: int = 5, seed: int = 0) -> FoldA
     rng = np.random.default_rng(seed)
     cell_key = ds.bio_codes * len(ds.conf_classes) + ds.conf_codes
     fold_of = np.empty(ds.n, dtype=np.intp)
-    for cell in np.unique(cell_key):
+    # the occupied cells, ascending; np.unique would load numpy.ma mid-run
+    for cell in np.flatnonzero(np.bincount(cell_key)):
         members = np.nonzero(cell_key == cell)[0]
         rng.shuffle(members)
         start = int(rng.integers(n_folds))
@@ -190,22 +191,6 @@ def _training_neighbor_prefix(nt: NeighborTable, ranked: np.ndarray,
     return out
 
 
-def _vote_blocks(nt: NeighborTable, ranked: np.ndarray, folds: FoldAssignment,
-                 depth: int, vote) -> None:
-    """``vote(rows, prefix)`` for every row block of ``nt``, as tasks on the
-    ranking pool; ``prefix`` is the ``_training_neighbor_prefix`` of the
-    block's rows, and ``vote`` writes only those rows of its outputs. The
-    caller has checked ``_check_training_size(nt, folds, depth)``, so no
-    task raises an ``AnalysisError``.
-    """
-    def task(rows: slice) -> None:
-        vote(rows, _training_neighbor_prefix(nt, ranked, folds, rows, depth))
-
-    # a task allocates its rows' training-fold test and running counts, each
-    # as wide as ``ranked``
-    list(_map_blocks(task, _row_blocks(nt.n, 2 * ranked.shape[1])))
-
-
 def _grid_counts(codes: np.ndarray, n_classes: int, ks: np.ndarray,
                  where: np.ndarray | None = None) -> np.ndarray:
     """(n, len(ks), n_classes) class counts over the first k columns, every k.
@@ -270,22 +255,19 @@ def _make_result(ds, target, pred_codes, classes, folds) -> EvalResult:
 
 
 def knn_predict(ds: EmbeddingDataset, nt: NeighborTable, folds: FoldAssignment,
-                target: str, k: int = 3) -> EvalResult:
-    """Cross-validated kNN probe: majority label of the k nearest training samples."""
-    codes, classes = _target_codes(ds, target)
+                k: int = 3) -> dict[str, EvalResult]:
+    """Cross-validated kNN probe: majority label of the k nearest training
+    samples, on both targets, keyed ``"bio"`` and ``"conf"``.
+
+    Both targets vote over one ranking of ``nt``: this is the kNN-run
+    ensemble (``_knn_ensemble``) on the one fold assignment ``folds``, at
+    the one neighbor count ``k``.
+    """
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
-    _check_training_size(nt, folds, k)
-    ranked = nt.ranked(slice(None), knn_table_depth(k, folds.n_folds))
-    pred = np.empty(ds.n, dtype=np.intp)
-    ks = np.array([k])
-
-    def vote(rows: slice, prefix: np.ndarray) -> None:
-        nb = codes[prefix]
-        pred[rows] = _grid_vote(nb, _grid_counts(nb, len(classes), ks), ks)[:, 0]
-
-    _vote_blocks(nt, ranked, folds, k, vote)
-    return _make_result(ds, target, pred, classes, folds)
+    run = next(_knn_ensemble(ds, nt, [folds], np.array([k]), conf_votes=True))
+    return {"bio": _make_result(ds, "bio", run.pred[:, 0], ds.bio_classes, folds),
+            "conf": _make_result(ds, "conf", run.pred_conf[:, 0], ds.conf_classes, folds)}
 
 
 # ---------------------------------------------------------------------------
@@ -519,38 +501,39 @@ class _KnnRun:
     same_center: np.ndarray  # (n, G, n_bio)
 
 
-def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
-                  ks: np.ndarray, seeds: Sequence[int],
+def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable,
+                  seed_folds: Sequence[FoldAssignment], ks: np.ndarray,
                   conf_votes: bool = False) -> Iterator[_KnnRun]:
-    """Per repetition seed: fresh folds, then the votes and counts of every k
-    in ``ks`` (strictly ascending), with the confounder votes too when
-    ``conf_votes`` is set.
+    """Per fold assignment (one repetition each, all with the same fold
+    count): the votes and counts of every k in ``ks`` (strictly ascending),
+    with the confounder votes too when ``conf_votes`` is set.
 
-    Every seed's folds are assigned and checked (``_check_training_size``)
-    first, so a seed short of training neighbors raises before anything is
-    ranked. The rows are then ranked once, for every seed. Each seed's rows
-    run as row-block tasks on the ranking pool (``_vote_blocks``): a task
-    takes its rows' training-fold prefix of depth max(ks), their class
-    counts at every k from one cumulative per-class count, and their votes,
-    and writes only its rows of the seed's ``_KnnRun``. Seeds run one after
-    another, so memory holds one seed's outputs plus a block per pool
-    thread; no (n, max k) array is made.
+    Every assignment is checked (``_check_training_size``) first, so one
+    short of training neighbors raises before anything is ranked. The rows
+    are then ranked once, for every assignment, at the ``knn_table_depth``
+    of the first one's fold count. Each assignment's rows run as row-block
+    tasks on the ranking pool: a task takes its rows' training-fold prefix
+    of depth max(ks) (``_training_neighbor_prefix``), their class counts at
+    every k from one cumulative per-class count, and their votes, and
+    writes only its rows of the repetition's ``_KnnRun``.
+    Repetitions run one after another, so memory holds one repetition's
+    outputs plus a block per pool thread; no (n, max k) array is made.
     """
-    if len(seeds) == 0:
+    if len(seed_folds) == 0:
         raise AnalysisError("the kNN-run ensemble needs at least one seed")
     max_k = int(ks[-1])
     n_bio, n_conf = len(ds.bio_classes), len(ds.conf_classes)
-    seed_folds = [assign_folds(ds, n_folds, seed) for seed in seeds]
     for folds in seed_folds:
         _check_training_size(nt, folds, max_k)
-    ranked = nt.ranked(slice(None), knn_table_depth(max_k, n_folds))
+    ranked = nt.ranked(slice(None), knn_table_depth(max_k, seed_folds[0].n_folds))
     shape = (ds.n, len(ks))
     for folds in seed_folds:
         run = _KnnRun(folds, np.empty(shape, np.intp),
                       np.empty(shape, np.intp) if conf_votes else None,
                       np.empty((*shape, n_bio), np.intp), np.empty((*shape, n_bio), np.intp))
 
-        def vote(rows: slice, prefix: np.ndarray) -> None:
+        def task(rows: slice) -> None:
+            prefix = _training_neighbor_prefix(nt, ranked, run.folds, rows, max_k)
             nb_conf = ds.conf_codes[prefix]
             if conf_votes:
                 run.pred_conf[rows] = _grid_vote(
@@ -563,7 +546,9 @@ def _knn_ensemble(ds: EmbeddingDataset, nt: NeighborTable, n_folds: int,
             run.same_center[rows] = _grid_counts(nb_bio, n_bio, ks, where=same)
             run.pred[rows] = _grid_vote(nb_bio, bio, ks)
 
-        _vote_blocks(nt, ranked, run.folds, max_k, vote)
+        # a task allocates its rows' training-fold test and running counts,
+        # each as wide as ``ranked``
+        list(_map_blocks(task, _row_blocks(nt.n, 2 * ranked.shape[1])))
         yield run
 
 
@@ -589,7 +574,8 @@ def confounder_analysis(
     fractions: list[list[np.ndarray]] = [[] for _ in k_grid]
     acc_bio = np.zeros((len(seeds), len(k_grid)))
     acc_conf = np.zeros((len(seeds), len(k_grid)))
-    for r, run in enumerate(_knn_ensemble(ds, nt, n_folds, ks, seeds, conf_votes=True)):
+    for r, run in enumerate(_knn_ensemble(
+            ds, nt, [assign_folds(ds, n_folds, s) for s in seeds], ks, conf_votes=True)):
         for ki, g in enumerate(cols):
             pred = run.pred[:, g]
             correct = pred == ds.bio_codes
@@ -646,7 +632,7 @@ def center_error_relation(
     rows = np.arange(ds.n)
 
     center_err_runs = np.zeros(ds.n, dtype=np.int64)
-    for run in _knn_ensemble(ds, nt, n_folds, ks, seeds):
+    for run in _knn_ensemble(ds, nt, [assign_folds(ds, n_folds, s) for s in seeds], ks):
         miss = run.pred != ds.bio_codes[:, None]
         # neighbors carrying a wrong label and the sample's confounder label
         both = run.same_center.sum(axis=2) - run.same_center[rows, :, ds.bio_codes]

@@ -16,9 +16,9 @@ pairs get distance +inf, as the diagonal does, so one kernel ranks every table.
 Row blocks run as tasks on every core in the process's CPU affinity
 (``_workers``), on the threads of one pool (``_map_blocks``): ranking, the
 per-rank same-label counts (``_same_label_counts``) of ``frequency_curves``
-and ``robustness.robustness_index``, the kNN probe and kNN-run ensemble of
-``evaluation``, and ``projection.trustworthiness``. Every stage sizes its
-tasks with ``_row_blocks`` and each task is a pure function of its rows:
+and ``robustness.robustness_index``, the kNN-run ensemble of ``evaluation``
+(which the kNN probe runs on one fold assignment), and
+``projection.trustworthiness``. Every stage sizes its tasks with ``_row_blocks`` and each task is a pure function of its rows:
 it writes or returns only its own rows' results, so they are the same for
 any worker count, and ``taskset -c 0`` makes every stage serial. No task raises an analysis error: the kNN analyses check
 each sample's training-neighbor count before they rank. Tasks requested

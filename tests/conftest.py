@@ -51,6 +51,35 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(max(d, 0.0), 2.0))
 
 
+def oracle_knn_predictions(ds, folds, target, k):
+    """From-scratch per-query recomputation: distances rebuilt per query,
+    sorted with Python's sort, same majority/tie contract."""
+    labels = ds.bio_labels if target == "bio" else ds.conf_labels
+    out = []
+    for i in range(ds.n):
+        cand = []
+        vi = ds.vectors[i]
+        ni = float(np.sqrt(np.dot(vi, vi)))
+        for j in range(ds.n):
+            if j == i or folds.fold_of[j] == folds.fold_of[i]:
+                continue
+            vj = ds.vectors[j]
+            d = 1.0 - float(np.dot(vi, vj)) / (ni * float(np.sqrt(np.dot(vj, vj))))
+            cand.append((min(max(d, 0.0), 2.0), j))
+        cand.sort()
+        votes: dict[str, int] = {}
+        first_rank: dict[str, int] = {}
+        for rank, (_, j) in enumerate(cand[:k]):
+            lab = labels[j]
+            votes[lab] = votes.get(lab, 0) + 1
+            first_rank.setdefault(lab, rank)
+        best = max(votes.values())
+        winner = min((first_rank[lab], lab) for lab, v in votes.items()
+                     if v == best)[1]
+        out.append(winner)
+    return out
+
+
 def table_of(vectors: np.ndarray, metric: str = "cosine") -> NeighborTable:
     """The neighbor table of bare vectors under ``metric``, for the calls that
     take a table (``tsne``, ``trustworthiness``); the labels are placeholders."""

@@ -21,7 +21,7 @@ from embrobust.evaluation import DEFAULT_K_GRID, softmax_loss_grad
 from embrobust.neighbors import pairwise_distances
 from embrobust.projection import joint_affinities, kl_divergence_and_grad
 
-from conftest import table_of
+from conftest import oracle_knn_predictions, table_of
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -140,32 +140,6 @@ def test_criterion_04_signal_ordering():
         assert abs(alpha0 - r_min) / r_min < 0.05
 
 
-def oracle_knn_predictions(ds, folds, target, k):
-    labels = ds.bio_labels if target == "bio" else ds.conf_labels
-    out = []
-    for i in range(ds.n):
-        cand = []
-        vi = ds.vectors[i]
-        ni = float(np.sqrt(np.dot(vi, vi)))
-        for j in range(ds.n):
-            if j == i or folds.fold_of[j] == folds.fold_of[i]:
-                continue
-            vj = ds.vectors[j]
-            d = 1.0 - float(np.dot(vi, vj)) / (ni * float(np.sqrt(np.dot(vj, vj))))
-            cand.append((min(max(d, 0.0), 2.0), j))
-        cand.sort()
-        votes: dict[str, int] = {}
-        first: dict[str, int] = {}
-        for rank, (_, j) in enumerate(cand[:k]):
-            lab = labels[j]
-            votes[lab] = votes.get(lab, 0) + 1
-            first.setdefault(lab, rank)
-        best = max(votes.values())
-        out.append(min((first[lab], lab) for lab, v in votes.items()
-                       if v == best)[1])
-    return out
-
-
 def test_criterion_05_knn_probe_equivalence():
     with criterion(5, "cross-validated kNN predictions match a per-query oracle"):
         rng = np.random.default_rng(5005)
@@ -173,7 +147,7 @@ def test_criterion_05_knn_probe_equivalence():
         nt = er.build_neighbor_table(ds)
         folds = er.assign_folds(ds, 5, seed=5)
         for target in ("bio", "conf"):
-            res = er.knn_predict(ds, nt, folds, target, 3)
+            res = er.knn_predict(ds, nt, folds, 3)[target]
             assert list(res.predictions) == oracle_knn_predictions(ds, folds, target, 3)
 
 

@@ -113,7 +113,7 @@ def test_eval_json_matches_library(workspace):
     ds = _dataset(workspace)
     folds = assign_folds(ds, 5, seed=0)
     nt = build_neighbor_table(ds)
-    knn_bio = knn_predict(ds, nt, folds, "bio", 3)
+    knn_bio = knn_predict(ds, nt, folds, 3)["bio"]
     assert payload["embedding"]["knn"]["bio"]["accuracy_mean"] == knn_bio.accuracy_mean
     assert payload["embedding"]["knn"]["bio"]["accuracy_std"] == knn_bio.accuracy_std
     logreg_conf = logreg_cv(ds, folds, "conf", max_iter=300)
@@ -513,6 +513,57 @@ def test_tsne_and_eval_reuse_the_table_index_built(workspace, tmp_path, monkeypa
     reports = [json.loads((where / "eval.json").read_text()) for where in (out, workspace / "out")]
     for block in ("embedding", "tsne2d"):
         assert reports[0][block] == reports[1][block]
+
+
+def test_eval_ranks_each_table_once(workspace, tmp_path, monkeypatch):
+    """eval --coords votes both targets over one ranking of each table, the
+    embedding table's and the 2D one's, at the kNN depth of k = 3 on 5
+    folds; its eval.json is the one the workspace's eval wrote."""
+    calls = []
+    ranked = neighbors.NeighborTable.ranked
+
+    def counted(self, rows, depth):
+        calls.append((rows, depth))
+        return ranked(self, rows, depth)
+
+    monkeypatch.setattr(neighbors.NeighborTable, "ranked", counted)
+    data, out = workspace / "data", workspace / "out"
+    assert main(["eval", "--manifest", str(data / "manifest.csv"),
+                 "--embeddings", str(data / "embeddings.bin"),
+                 "--coords", str(out / "tsne_coords.csv"), "--logreg-max-iter", "300",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [(slice(None), evaluation.knn_table_depth(3, 5))] * 2
+    reports = [json.loads((where / "eval.json").read_text()) for where in (tmp_path, out)]
+    assert reports[0]["embedding"] == reports[1]["embedding"]
+    assert reports[0]["tsne2d"] == reports[1]["tsne2d"]
+
+
+def test_analysis_subcommands_leave_numpy_ma_unloaded(workspace, tmp_path):
+    """No analysis subcommand loads numpy.ma. Loaded on first use in the
+    middle of a subcommand (``np.unique`` checks for masked arrays), its
+    module-lifetime objects land high in the heap, which then cannot shrink
+    below them for the rest of the process."""
+    data = workspace / "data"
+    ds_flags = ["--manifest", str(data / "manifest.csv"),
+                "--embeddings", str(data / "embeddings.bin"), "--out-dir", str(tmp_path)]
+    commands = [["index", *ds_flags, "--k", "10"], ["curves", *ds_flags],
+                ["tsne", *ds_flags, "--perplexity", "8", "--tsne-iters", "40",
+                 "--tsne-early-iters", "20"],
+                ["eval", *ds_flags, "--coords", str(tmp_path / "tsne_coords.csv"),
+                 "--logreg-max-iter", "300"],
+                ["confounders", *ds_flags, "--k-grid", "1,2,4,8", "--reps", "2"],
+                ["relation", *ds_flags, "--k-grid", "1,2,4", "--reps", "2",
+                 "--logreg-max-iter", "300"]]
+    script = ("import json, sys\n"
+              "from embrobust.cli import main\n"
+              "assert max(main(argv) for argv in json.loads(sys.argv[1])) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = Path(embrobust.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_outputs_identical_across_ranking_worker_counts(tmp_path, monkeypatch):
@@ -1077,6 +1128,12 @@ def _replace_row(i, text):
     (_replace_row(1, lambda row: row.rsplit(",", 1)[0]), "row 0 has 2 fields, expected 3"),
     (_replace_row(2, lambda row: row.split(",")[0] + ",abc,1.0"),
      "row 1: non-numeric coordinate"),
+    # digit separators and non-ASCII digits, which float() takes, are
+    # rejected as in the embeddings CSV
+    (_replace_row(2, lambda row: row.split(",")[0] + ",1_0,1.0"),
+     "row 1: non-numeric coordinate"),
+    (_replace_row(2, lambda row: row.split(",")[0] + ",0.5,\uff11"),
+     "row 1: non-numeric coordinate"),
     (_replace_row(2, lambda row: row.split(",")[0] + ",nan,1.0"),
      "row 1: non-finite coordinate"),
     (_replace_row(3, lambda row: row.split(",")[0] + ",0.5,inf"),
@@ -1087,12 +1144,12 @@ def _replace_row(i, text):
     (lambda lines: _replace_row(3, lambda row: row.rsplit(",", 1)[0])(
         _replace_row(1, lambda row: row.split(",")[0] + ",abc,1.0")(lines)),
      "row 0: non-numeric coordinate"),
-], ids=["short_row", "non_numeric", "nan", "inf", "duplicate_id", "unknown_id",
-        "first_defect_wins"])
+], ids=["short_row", "non_numeric", "digit_separator", "non_ascii_digit", "nan", "inf",
+        "duplicate_id", "unknown_id", "first_defect_wins"])
 def test_eval_rejects_malformed_coords(workspace, tmp_path, capsys, edit, message):
     lines = (workspace / "out" / "tsne_coords.csv").read_text().splitlines()
     bad = tmp_path / "coords.csv"
-    bad.write_text("\n".join(edit(lines)) + "\n")
+    bad.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     data = workspace / "data"
     rc = main(["eval", "--manifest", str(data / "manifest.csv"),
                "--embeddings", str(data / "embeddings.bin"),

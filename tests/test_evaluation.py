@@ -18,7 +18,7 @@ from embrobust.evaluation import (FoldAssignment, _check_training_size,
                                   _training_neighbor_prefix, knn_table_depth,
                                   softmax_loss_grad)
 
-from conftest import make_random_dataset, make_synth
+from conftest import make_random_dataset, make_synth, oracle_knn_predictions
 
 
 # ---------------------------------------------------------------------------
@@ -70,35 +70,6 @@ def test_fold_errors(small_random_ds):
 # ---------------------------------------------------------------------------
 # kNN probe
 # ---------------------------------------------------------------------------
-
-def oracle_knn_predictions(ds, folds, target, k):
-    """From-scratch per-query recomputation: distances rebuilt per query,
-    sorted with Python's sort, same majority/tie contract."""
-    labels = ds.bio_labels if target == "bio" else ds.conf_labels
-    out = []
-    for i in range(ds.n):
-        cand = []
-        vi = ds.vectors[i]
-        ni = float(np.sqrt(np.dot(vi, vi)))
-        for j in range(ds.n):
-            if j == i or folds.fold_of[j] == folds.fold_of[i]:
-                continue
-            vj = ds.vectors[j]
-            d = 1.0 - float(np.dot(vi, vj)) / (ni * float(np.sqrt(np.dot(vj, vj))))
-            cand.append((min(max(d, 0.0), 2.0), j))
-        cand.sort()
-        votes: dict[str, int] = {}
-        first_rank: dict[str, int] = {}
-        for rank, (_, j) in enumerate(cand[:k]):
-            lab = labels[j]
-            votes[lab] = votes.get(lab, 0) + 1
-            first_rank.setdefault(lab, rank)
-        best = max(votes.values())
-        winner = min((first_rank[lab], lab) for lab, v in votes.items()
-                     if v == best)[1]
-        out.append(winner)
-    return out
-
 
 def oracle_training_ranking(ds, folds, i):
     """Samples outside i's fold sorted by (distance to i, index), with the
@@ -212,13 +183,13 @@ def test_training_prefix_ranks_deeper_when_stored_prefix_is_short(monkeypatch):
         predictions = []
         for ranked in (shallow, full):
             rank_depth(monkeypatch, ranked.shape[1])
-            predictions.append(knn_predict(ds, nt, folds, "bio", k).predictions)
+            predictions.append(knn_predict(ds, nt, folds, k)["bio"].predictions)
         assert predictions[0] == predictions[1]
     messages = []
     for ranked in (shallow, full):
         rank_depth(monkeypatch, ranked.shape[1])
         with pytest.raises(AnalysisError, match="exceeds training-fold size") as exc:
-            knn_predict(ds, nt, folds, "bio", 40)
+            knn_predict(ds, nt, folds, 40)["bio"]
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -256,7 +227,7 @@ def test_knn_perfect_on_tight_clusters():
                     bio_strength=1.0, conf_strength=0.0, noise_sigma=0.02)
     nt = build_neighbor_table(ds)
     folds = assign_folds(ds, 4, seed=0)
-    res = knn_predict(ds, nt, folds, "bio", 3)
+    res = knn_predict(ds, nt, folds, 3)["bio"]
     assert res.accuracy_mean == 1.0
     assert res.accuracy_std == 0.0
     assert res.correct.all()
@@ -267,7 +238,7 @@ def test_knn_matches_per_query_oracle():
     nt = build_neighbor_table(ds)
     folds = assign_folds(ds, 5, seed=2)
     for target in ("bio", "conf"):
-        res = knn_predict(ds, nt, folds, target, 3)
+        res = knn_predict(ds, nt, folds, 3)[target]
         assert list(res.predictions) == oracle_knn_predictions(ds, folds, target, 3)
 
 
@@ -286,14 +257,14 @@ def test_knn_tie_breaks_to_nearest_tied_class():
     folds = assign_folds(ds, 3, seed=0)
     object.__setattr__(folds, "fold_of", np.array([0, 1, 1, 2, 2]))
     nt = build_neighbor_table(ds)
-    res = knn_predict(ds, nt, folds, "bio", 2)
+    res = knn_predict(ds, nt, folds, 2)["bio"]
     assert res.predictions[0] == "a"
 
 
 def test_knn_every_sample_predicted_once(small_random_ds):
     nt = build_neighbor_table(small_random_ds)
     folds = assign_folds(small_random_ds, 4, seed=5)
-    res = knn_predict(small_random_ds, nt, folds, "bio", 3)
+    res = knn_predict(small_random_ds, nt, folds, 3)["bio"]
     assert len(res.predictions) == small_random_ds.n
     assert all(p in small_random_ds.bio_classes for p in res.predictions)
 
@@ -302,7 +273,7 @@ def test_knn_k1_accuracy_equals_nearest_training_agreement(small_random_ds):
     ds = small_random_ds
     nt = build_neighbor_table(ds)
     folds = assign_folds(ds, 4, seed=1)
-    res = knn_predict(ds, nt, folds, "bio", 1)
+    res = knn_predict(ds, nt, folds, 1)["bio"]
     # direct recount: nearest neighbor outside the sample's own fold
     order = nt.ranked(slice(None), ds.n - 1)
     hits = []
@@ -319,7 +290,7 @@ def test_knn_k_exceeds_training_fold(monkeypatch):
     nt = build_neighbor_table(ds)
     folds = assign_folds(ds, 2, seed=0)
     with pytest.raises(AnalysisError, match="exceeds training-fold size"):
-        knn_predict(ds, nt, folds, "bio", 10)
+        knn_predict(ds, nt, folds, 10)["bio"]
     # with group exclusion and folds of 12, 24 and 36 samples, some samples
     # of fold 1 and all of fold 2 are short of k = 48 training neighbors;
     # the message names the first such fold and the fewest any of its
@@ -344,7 +315,7 @@ def test_knn_k_exceeds_training_fold(monkeypatch):
     assert message(48, uneven) == ("k=48 exceeds training-fold size (46 training "
                                    "neighbors available for some sample in fold 1)")
     assert available(uneven).min() == 35
-    cases = [(lambda: knn_predict(ds, nt, uneven, "bio", 48), message(48, uneven)),
+    cases = [(lambda: knn_predict(ds, nt, uneven, 48)["bio"], message(48, uneven)),
              (lambda: confounder_analysis(ds, nt, (3,), n_folds=4, k_grid=(1, 54)),
               message(54, assign_folds(ds, 4, 3)))]
     monkeypatch.setattr(neighbors, "_TASK_ELEMS", 100)
@@ -393,7 +364,7 @@ def test_training_size_check_equals_brute_force_count():
             expected = (f"k={k} exceeds training-fold size ({avail[fold_of == fold].min()} "
                         f"training neighbors available for some sample in fold {fold})")
         for check in (lambda: _check_training_size(nt, folds, k),
-                      lambda: knn_predict(ds, nt, folds, "bio", k)):
+                      lambda: knn_predict(ds, nt, folds, k)["bio"]):
             if expected is None:
                 check()
             else:
@@ -417,7 +388,7 @@ def test_training_shortfall_raises_before_ranking(monkeypatch):
         raise AssertionError("rows were ranked")
 
     monkeypatch.setattr(neighbors, "_rank", no_ranking)
-    runs = [lambda: knn_predict(ds, nt, assign_folds(ds, 5, 3), "bio", 55),
+    runs = [lambda: knn_predict(ds, nt, assign_folds(ds, 5, 3), 55)["bio"],
             lambda: confounder_analysis(ds, nt, (7, 3), k_grid=(1, 55)),
             lambda: center_error_relation(ds, nt, (7, 3), bio_probe(ds, 7, max_iter=200),
                                           k_grid=(1, 55))]
@@ -812,8 +783,9 @@ def test_ensemble_votes_confounders_only_when_asked():
     ds = make_synth(seed=4, n_bio=3, n_conf=4, per_cell=9, dim=12)
     nt = build_neighbor_table(ds)
     ks = np.array([1, 2, 5])
-    assert next(evaluation._knn_ensemble(ds, nt, 5, ks, (3,))).pred_conf is None
-    run = next(evaluation._knn_ensemble(ds, nt, 5, ks, (3,), conf_votes=True))
+    folds = [assign_folds(ds, 5, 3)]
+    assert next(evaluation._knn_ensemble(ds, nt, folds, ks)).pred_conf is None
+    run = next(evaluation._knn_ensemble(ds, nt, folds, ks, conf_votes=True))
     assert run.pred_conf.shape == (ds.n, len(ks))
 
 
@@ -1057,7 +1029,7 @@ def test_each_analysis_ranks_its_rows_once(monkeypatch, grouped, analysis):
     seeds, grid = (3, 4, 5), ENSEMBLE_GRID
     runs = {
         "index": (lambda: robustness_index(ds, nt, 10), 10),
-        "knn": (lambda: knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 16),
+        "knn": (lambda: knn_predict(ds, nt, assign_folds(ds, 4, 3), 16)["bio"],
                 knn_table_depth(16, 4)),
         "confounders": (lambda: confounder_analysis(ds, nt, seeds, n_folds=4, k_grid=grid),
                         knn_table_depth(max(grid), 4)),
@@ -1084,7 +1056,7 @@ def test_knn_analyses_identical_for_any_worker_count(monkeypatch):
         monkeypatch.setattr(neighbors, "_workers", lambda: workers)
         for grouped, ds in ((False, confounded_ds()), (True, grouped_confounded_ds())):
             nt = build_neighbor_table(ds, exclude_same_group=grouped)
-            knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 5)
+            knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), 5)["bio"]
             conf = confounder_analysis(ds, nt, (3, 4), n_folds=4, k_grid=ENSEMBLE_GRID)
             results.append((grouped, knn.predictions, conf.frac_same_center.tobytes(),
                             conf.acc_bio.tobytes(), conf.acc_conf.tobytes()))
@@ -1117,7 +1089,7 @@ def test_deep_reranks_inside_ensemble_tasks_equal_serial(monkeypatch):
         rel = center_error_relation(ds, nt, (3, 4),
                                     bio_probe(ds, 3, n_folds=4, lam=1e-2, max_iter=200),
                                     k_grid=ENSEMBLE_GRID, n_folds=4)
-        knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), "bio", 5)
+        knn = knn_predict(ds, nt, assign_folds(ds, 4, 3), 5)["bio"]
         return (conf.frac_same_center.tobytes(), conf.acc_bio.tobytes(),
                 conf.acc_conf.tobytes(), rel.fraction_center_error.tobytes(),
                 rel.bin_logreg_error.tobytes(), knn.predictions)

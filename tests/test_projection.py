@@ -557,6 +557,6 @@ def test_diagnostics_rigid_motion_invariant(cluster_projection):
             ds.ids, coords, ds.bio_labels, ds.conf_labels, require_nonzero=False)
         nt = build_neighbor_table(probe, metric="euclidean")
         folds = assign_folds(probe, 5, seed=0)
-        return knn_predict(probe, nt, folds, "bio", 3).accuracy_mean
+        return knn_predict(probe, nt, folds, 3)["bio"].accuracy_mean
 
     assert knn_acc_on_coords(moved) == knn_acc_on_coords(result.coords)
